@@ -165,19 +165,6 @@ def d(u: RealForm) -> RealForm:
     return RealForm(grid, u.degree + 1, coeffs)
 
 
-def d_transpose(beta: RealForm) -> RealForm:
-    """Plain (unweighted) matrix transpose of d; building block for the
-    weighted discrete adjoint."""
-    grid = beta.grid
-    p = beta.degree - 1
-    if p < 0:
-        raise ValidationError("transpose of d needs degree >= 1")
-    coeffs = apply_terms_adjoint(d_terms(grid.dim, p), beta.coeffs,
-                                 num_indices(grid.dim, p), grid.h,
-                                 dtype=beta.coeffs.dtype)
-    return RealForm(grid, p, coeffs)
-
-
 def delta(j: int, g: np.ndarray, weight: Weight, grid: Grid) -> np.ndarray:
     """delta_j g = dg/dx_j - phi_j g (j is 1-based to match the increasing
     multiindex convention)."""
@@ -207,19 +194,20 @@ def t_star_discrete(alpha: RealForm, weight: Weight, mask: np.ndarray | None = N
 
     Pairing: <d u, alpha> over mask equals <u, t_star_discrete(alpha)>
     over the dilated mask, exactly in floating point, for every u
-    supported on the dilated mask.  Defaults to the interior mask.
+    supported on the dilated mask.  Defaults to the interior mask.  This
+    is the adjoint of the operator the minimum-norm solver runs on.
     """
+    from .minnorm import weighted_first_order_map
     grid = alpha.grid
+    p = alpha.degree - 1
+    if p < 0:
+        raise ValidationError("adjoint of d needs degree >= 1")
     if mask is None:
         mask = grid.interior
-    src_mask = _dilate(mask)
-    phi = weight.phi(grid.coords)
-    shift = float(phi[src_mask].min())
-    w_t = np.exp(-(phi - shift)) * mask
-    beta = RealForm(grid, alpha.degree, alpha.coeffs * w_t)
-    raw = d_transpose(beta)
-    coeffs = raw.coeffs * (np.exp(phi - shift) * src_mask)
-    return RealForm(grid, alpha.degree - 1, coeffs)
+    A = weighted_first_order_map(grid, weight, d_terms(grid.dim, p),
+                                 num_indices(grid.dim, p), num_indices(grid.dim, p + 1),
+                                 eq_mask=mask, dof_mask=_dilate(mask))
+    return RealForm(grid, p, A.adjoint(alpha.coeffs))
 
 
 def dbar(u: ComplexForm) -> ComplexForm:
@@ -249,11 +237,7 @@ def partial(u: ComplexForm) -> ComplexForm:
 def conj_form(f: ComplexForm) -> ComplexForm:
     """Complex conjugate form; swaps (p,q) with (q,p)."""
     bd = tuple(f.bidegree)
-    if bd == (0, 0):
-        return ComplexForm(f.grid, bd, f.coeffs.conj())
-    if bd in ((1, 0), (0, 1)):
-        return ComplexForm(f.grid, bd[::-1], f.coeffs.conj())
-    if bd in ((2, 0), (0, 2)):
+    if bd in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)):
         return ComplexForm(f.grid, bd[::-1], f.coeffs.conj())
     if bd == (1, 1):
         n = f.n

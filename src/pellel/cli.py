@@ -144,11 +144,9 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
                        f"{rep.residual:.3e} <= 1e-04"))
         row.update(c=rep.c, norm_f2=rep.norm_f2, norm_u2=rep.norm_u2,
                    ratio=rep.ratio, bound=rep.bound_main, residual=rep.residual)
-        detail = rep.to_dict()
-        result = u
-    elif mode == "poincare":
-        u, rep = pipeline.solve_poincare(f, weight, grid, tol=cfg.tol,
-                                         maxiter=cfg.maxiter)
+    elif mode in ("poincare", "dbar"):
+        solve = pipeline.solve_poincare if mode == "poincare" else pipeline.solve_dbar
+        u, rep = solve(f, weight, grid, tol=cfg.tol, maxiter=cfg.maxiter)
         bound = rep.bound * (1.0 + cfg.slack)
         checks.append(("ratio_le_bound", rep.ratio <= bound,
                        f"{rep.ratio:.6f} <= {bound:.6f}"))
@@ -157,25 +155,10 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
         row.update(c=estimate_c(weight, domain, grid), norm_f2=rep.rhs_norm2,
                    norm_u2=rep.solution_norm2, ratio=rep.ratio,
                    bound=rep.bound, residual=rep.relative_residual)
-        detail = rep.to_dict()
-        result = u
-    elif mode == "dbar":
-        u, rep = pipeline.solve_dbar(f, weight, grid, tol=cfg.tol,
-                                     maxiter=cfg.maxiter)
-        bound = rep.bound * (1.0 + cfg.slack)
-        checks.append(("ratio_le_bound", rep.ratio <= bound,
-                       f"{rep.ratio:.6f} <= {bound:.6f}"))
-        checks.append(("residual_small", rep.relative_residual <= cfg.tol * 10,
-                       f"{rep.relative_residual:.3e}"))
-        row.update(c=estimate_c(weight, domain, grid), norm_f2=rep.rhs_norm2,
-                   norm_u2=rep.solution_norm2, ratio=rep.ratio,
-                   bound=rep.bound, residual=rep.relative_residual)
-        detail = rep.to_dict()
-        result = u
     else:
         raise ValidationError(f"unsupported single-run mode {mode!r}")
 
-    return {"row": row, "checks": checks, "detail": detail, "solution": result,
+    return {"row": row, "checks": checks, "detail": rep.to_dict(), "solution": u,
             "grid": grid}
 
 

@@ -206,33 +206,31 @@ def to_csv(form, path) -> None:
     """Flat snapshot: node index (C-order over the box), coefficient
     position (lexicographic layout), value (re/im columns when complex)."""
     complex_form = isinstance(form, ComplexForm)
-    deg = form.bidegree if complex_form else form.degree
+    flat = form.coeffs.reshape(form.coeffs.shape[0], -1)
+    k, node = np.indices(flat.shape).reshape(2, -1).tolist()
+    values = flat.ravel()
+    columns = [node, k, map(repr, np.asarray(values.real, dtype=float).tolist())]
+    if complex_form:
+        columns.append(map(repr, values.imag.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["node", "coeff", "value"] + (["value_im"] if complex_form else [])
-        writer.writerow(header)
-        flat = form.coeffs.reshape(form.coeffs.shape[0], -1)
-        for k in range(flat.shape[0]):
-            for node in range(flat.shape[1]):
-                v = flat[k, node]
-                row = [node, k, repr(float(v.real if complex_form else v))]
-                if complex_form:
-                    row.append(repr(float(v.imag)))
-                writer.writerow(row)
+        writer.writerow(["node", "coeff", "value"] + (["value_im"] if complex_form else []))
+        writer.writerows(zip(*columns))
 
 
 def from_csv(grid: Grid, degree_or_bidegree, path):
     """Rebuild a form written by to_csv on a matching grid."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, rows = rows[0], rows[1:]
-    complex_form = "value_im" in header
+        complex_form = "value_im" in next(csv.reader(fh))
     if complex_form:
         form = ComplexForm.zeros(grid, tuple(degree_or_bidegree))
     else:
         form = RealForm.zeros(grid, int(degree_or_bidegree))
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     flat = form.coeffs.reshape(form.coeffs.shape[0], -1)
-    for row in rows:
-        node, k = int(row[0]), int(row[1])
-        flat[k, node] = (float(row[2]) + 1j * float(row[3])) if complex_form else float(row[2])
+    node, k = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+    # the two parts are stored separately so signed zeros survive the round trip
+    flat.real[k, node] = table[:, 2]
+    if complex_form:
+        flat.imag[k, node] = table[:, 3]
     return form

@@ -61,12 +61,17 @@ class LinearMap:
 
 @dataclass
 class SolveReport:
-    """Outcome of one minimum-norm solve."""
+    """Outcome of one minimum-norm solve.
+
+    solve_min_norm fills the iteration record.  The norms, bound and
+    ratios stay None until a pipeline stage sets them; the norms then
+    integrate over the equation mask against exp(-phi), unshifted.
+    """
 
     iterations: int
     relative_residual: float
-    solution_norm2: float
-    rhs_norm2: float
+    solution_norm2: float | None = None
+    rhs_norm2: float | None = None
     bound: float | None = None
     ratio: float | None = None
     bound_ratio: float | None = None
@@ -139,7 +144,9 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     A u = P_range f.  The target-norm residual is minimized over growing
     Krylov spaces, so it is nonincreasing; when f has a component outside
     the numerical range the residual stalls at its size (the projection
-    happens implicitly) and the report says so.  Raises NotInRangeError
+    happens implicitly) and the report says so.  The last iterate is
+    returned with its own residual; residual_history keeps the best
+    residual so far.  Raises NotInRangeError
     when f is orthogonal to the range and no progress is possible.
     """
     if tol <= 0:
@@ -152,17 +159,16 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     delta0 = A.dot_target(r, r)
     history: list[float] = []
     if delta0 == 0.0:
-        return u, SolveReport(0, 0.0, 0.0, 0.0, residual_history=history)
+        return u, SolveReport(0, 0.0, residual_history=history)
     s = A.adjoint(r)
     gamma = A.dot_source(s, s)
     p = s.copy()
-    best_u = u.copy()
-    best_delta = delta0
+    delta = best_delta = delta0
     since_improve = 0
     k = 0
     reason = "maxiter"
     while k < maxiter:
-        if best_delta <= tol * tol * delta0:
+        if delta <= tol * tol * delta0:
             reason = "converged"
             break
         if gamma <= 0.0:
@@ -185,7 +191,6 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         delta = A.dot_target(r, r)
         if delta < best_delta:
             best_delta = delta
-            best_u = u.copy()
             since_improve = 0
         else:
             since_improve += 1
@@ -196,19 +201,17 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     else:
-        reason = "converged" if best_delta <= tol * tol * delta0 else "maxiter"
+        reason = "converged" if delta <= tol * tol * delta0 else "maxiter"
 
-    rel = float(np.sqrt(best_delta / delta0))
+    rel = float(np.sqrt(delta / delta0))
     if reason in ("stagnated", "breakdown") and rel > 1.0 - 1e-6:
         raise NotInRangeError(
             f"right-hand side orthogonal to the operator range (residual stayed at {rel:.3e})")
     report = SolveReport(
         iterations=k,
         relative_residual=rel,
-        solution_norm2=A.dot_source(best_u, best_u),
-        rhs_norm2=delta0,
         converged=rel <= tol,
         reason=reason,
         residual_history=history,
     )
-    return best_u, report
+    return u, report

@@ -93,6 +93,25 @@ def _require_converged(report: SolveReport, stage: str) -> None:
             f"({report.reason})")
 
 
+def _solve_stage(stage: str, rhs, out_degree, terms, n_in: int, bound: float,
+                 weight: Weight, grid: Grid, tol: float, maxiter: int | None):
+    """Minimum-norm solve of the first-order equation given by terms, with
+    the rhs's form type for the solution; the report's norms and ratios
+    are measured on the equation mask."""
+    A = weighted_first_order_map(
+        grid, weight, terms, n_in, rhs.coeffs.shape[0], grid.mask_eq, grid.mask_dof,
+        dtype=complex if isinstance(rhs, ComplexForm) else float)
+    arr, report = solve_min_norm(A, rhs.coeffs, tol=tol, maxiter=maxiter)
+    _require_converged(report, stage)
+    solution = type(rhs)(grid, out_degree, arr)
+    report.rhs_norm2 = _report_norm2(rhs, weight, grid)
+    report.solution_norm2 = _report_norm2(solution, weight, grid)
+    report.bound = bound
+    report.ratio = report.solution_norm2 / report.rhs_norm2 if report.rhs_norm2 else 0.0
+    report.bound_ratio = report.ratio / report.bound
+    return solution, report
+
+
 def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
                    tol: float = 1e-8, maxiter: int | None = None,
                    check_closed: bool = True) -> tuple[RealForm, SolveReport]:
@@ -109,19 +128,9 @@ def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
         df = calculus.d(f)
         _closedness(_report_norm2(df, weight, grid), _report_norm2(f, weight, grid),
                     grid.h, "f")
-    A = weighted_first_order_map(
-        grid, weight, calculus.d_terms(grid.dim, p),
-        num_indices(grid.dim, p), num_indices(grid.dim, p + 1),
-        grid.mask_eq, grid.mask_dof)
-    u_arr, report = solve_min_norm(A, f.coeffs, tol=tol, maxiter=maxiter)
-    _require_converged(report, "poincare")
-    u = RealForm(grid, p, u_arr)
-    report.rhs_norm2 = _report_norm2(f, weight, grid)
-    report.solution_norm2 = _report_norm2(u, weight, grid)
-    report.bound = 1.0 / (c * (p + 1))
-    report.ratio = report.solution_norm2 / report.rhs_norm2 if report.rhs_norm2 else 0.0
-    report.bound_ratio = report.ratio / report.bound
-    return u, report
+    return _solve_stage("poincare", f, p, calculus.d_terms(grid.dim, p),
+                        num_indices(grid.dim, p), 1.0 / (c * (p + 1)),
+                        weight, grid, tol, maxiter)
 
 
 def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
@@ -138,18 +147,8 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
         dg = calculus.dbar(g)
         _closedness(_report_norm2(dg, weight, grid), _report_norm2(g, weight, grid),
                     grid.h, "g")
-    A = weighted_first_order_map(
-        grid, weight, calculus.complex_terms(n, (0, 0), True),
-        1, n, grid.mask_eq, grid.mask_dof, dtype=complex)
-    w_arr, report = solve_min_norm(A, g.coeffs, tol=tol, maxiter=maxiter)
-    _require_converged(report, "dbar")
-    w = ComplexForm(grid, (0, 0), w_arr)
-    report.rhs_norm2 = _report_norm2(g, weight, grid)
-    report.solution_norm2 = _report_norm2(w, weight, grid)
-    report.bound = 2.0 / c_levi
-    report.ratio = report.solution_norm2 / report.rhs_norm2 if report.rhs_norm2 else 0.0
-    report.bound_ratio = report.ratio / report.bound
-    return w, report
+    return _solve_stage("dbar", g, (0, 0), calculus.complex_terms(n, (0, 0), True),
+                        1, 2.0 / c_levi, weight, grid, tol, maxiter)
 
 
 def _is_real11(f: ComplexForm, tol: float = 1e-10) -> bool:

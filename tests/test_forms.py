@@ -132,6 +132,32 @@ def test_csv_roundtrip_complex(tmp_path, disk_grid_coarse, rng):
     assert np.array_equal(back.coeffs, f.coeffs)
 
 
+def test_csv_golden_bytes(tmp_path):
+    g = pl.build_grid(pl.Domain.ball(0.2, center=(0.25, 0.25)), 0.5, pad=0)
+    assert g.shape == (3, 3)
+    re = np.array([0.1, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, -0.0, 1 / 3, 3.0, 1e16])
+    im = np.array([0.0, 1.0, -1.0, 1.5e-323, 0.5, 0.0, 2 / 3, -7.25, 1e-5])
+    coeffs = re.astype(complex)
+    coeffs.imag = im
+    f = pl.ComplexForm(g, (0, 0), coeffs.reshape(1, 3, 3))
+    path = tmp_path / "f.csv"
+    forms.to_csv(f, path)
+    assert path.read_bytes() == (
+        b"node,coeff,value,value_im\r\n"
+        b"0,0,0.1,0.0\r\n"
+        b"1,0,-2.5,1.0\r\n"
+        b"2,0,1e-300,-1.0\r\n"
+        b"3,0,5e-324,1.5e-323\r\n"
+        b"4,0,1.7976931348623157e+308,0.5\r\n"
+        b"5,0,-0.0,0.0\r\n"
+        b"6,0,0.3333333333333333,0.6666666666666666\r\n"
+        b"7,0,3.0,-7.25\r\n"
+        b"8,0,1e+16,1e-05\r\n")
+    back = forms.from_csv(g, (0, 0), path)
+    assert np.array_equal(back.coeffs, f.coeffs)
+    assert np.array_equal(np.signbit(back.coeffs.real), np.signbit(re.reshape(1, 3, 3)))
+
+
 def test_form_validation(disk_grid_coarse):
     with pytest.raises(ValidationError):
         pl.RealForm(disk_grid_coarse, 1, np.zeros((3,) + disk_grid_coarse.shape))

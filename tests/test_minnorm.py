@@ -121,8 +121,8 @@ def test_scale_equivariance(disk_grid_coarse, gauss2):
     assert np.abs(u4 - 4.0 * u1).max() <= 1e-12 * scale
 
 
-def test_not_in_range_raises():
-    # target component manufactured orthogonal to the range
+def _not_closed_dbar_case():
+    # dbar w = zbar_2 dzbar_1 on the C^2 ball: not dbar-closed, so not in the range
     dom = pl.Domain.ball(1.0, dim=4)
     grid = pl.build_grid(dom, 1 / 3)
     w = pl.Weight.abs2(4)
@@ -130,7 +130,13 @@ def test_not_in_range_raises():
         grid, w, calc.complex_terms(2, (0, 0), True), 1, 2,
         grid.mask_eq, grid.mask_dof, dtype=complex)
     g = np.zeros(A.target_shape, dtype=complex)
-    g[0][grid.mask_eq] = (grid.coords[2] - 1j * grid.coords[3])[grid.mask_eq]  # zbar_2 dzbar_1
+    g[0][grid.mask_eq] = (grid.coords[2] - 1j * grid.coords[3])[grid.mask_eq]
+    return A, g
+
+
+def test_not_in_range_raises():
+    # target component manufactured orthogonal to the range
+    A, g = _not_closed_dbar_case()
     u, rep = solve_min_norm(A, g, tol=1e-12, maxiter=4000)
     # not dbar-closed: the solve stalls at the distance to the range
     assert rep.reason in ("stagnated", "maxiter")
@@ -138,3 +144,12 @@ def test_not_in_range_raises():
     g_perp = g - A.apply(u)
     with pytest.raises(NotInRangeError):
         solve_min_norm(A, g_perp, tol=1e-12, maxiter=4000)
+
+
+def test_stagnated_residual_is_that_of_returned_iterate():
+    A, g = _not_closed_dbar_case()
+    u, rep = solve_min_norm(A, g, tol=1e-12, maxiter=4000)
+    assert rep.reason in ("stagnated", "maxiter")
+    r = g - A.apply(u)
+    expected = np.sqrt(A.dot_target(r, r) / A.dot_target(g, g))
+    assert rep.relative_residual == pytest.approx(expected, rel=1e-8)
