@@ -144,10 +144,52 @@ def apply_terms(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None) -> 
     return out
 
 
-def apply_terms_adjoint(terms, coeffs: np.ndarray, n_in: int, h: float, dtype=None) -> np.ndarray:
-    out = np.zeros((n_in,) + coeffs.shape[1:], dtype=dtype or coeffs.dtype)
-    for o, i, s, ax in terms:
-        out[i] += np.conj(s) * diff_axis_t(coeffs[o], ax, h)
+def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
+                  transpose: bool = False) -> list[list[tuple]]:
+    """Per-axis diagonals of diff_axis (or, with transpose, of diff_axis_t)
+    restricted to row_mask rows and col_mask columns.
+
+    Vectors on a mask are compact: one entry per mask node, in C order.
+    For each axis the result holds pairs (index, coef) such that, for a
+    col_mask vector v padded with one trailing zero slot,
+    sum(coef * v[index]) is the stencil at every row node.  index is
+    int32; columns outside col_mask point at the zero slot.  coef is a
+    float where it is uniform over the live entries, else a row array.
+    The stencil rows come from diff_axis applied to an identity matrix,
+    so the box stencil keeps one definition.
+    """
+    shape = row_mask.shape
+    n_col = int(col_mask.sum())
+    col_pos = np.full(col_mask.size, n_col, dtype=np.int32)
+    col_pos[col_mask.ravel()] = np.arange(n_col, dtype=np.int32)
+    rows = np.flatnonzero(row_mask).astype(np.int32)
+    out = []
+    for ax, m in enumerate(shape):
+        stride = int(np.prod(shape[ax + 1:]))
+        mat = (diff_axis_t if transpose else diff_axis)(np.eye(m), 0, h)
+        # the nonzeros of each 1-D row, columns ascending: diagonal j holds
+        # the j-th of every row (0 where a row has fewer)
+        r, c = np.nonzero(mat)
+        j = np.arange(r.size) - np.searchsorted(r, r)
+        cols = np.zeros((j.max() + 1, m), dtype=np.int32)
+        cols[j, r] = c
+        coefs = np.zeros((j.max() + 1, m))
+        coefs[j, r] = mat[r, c]
+        at = rows // stride % m  # position of each row node along the axis
+        diagonals = []
+        for col, coef in zip(cols, coefs):
+            step = (col - np.arange(m, dtype=np.int32)) * stride
+            index = col_pos[rows + step[at]]
+            used = np.zeros(m, dtype=bool)
+            used[at[index != n_col]] = True
+            values = coef[used]
+            if not values.size:
+                continue
+            if (values == values[0]).all():
+                diagonals.append((index, float(values[0])))
+            else:
+                diagonals.append((index, coef[at]))
+        out.append(diagonals)
     return out
 
 
@@ -204,10 +246,14 @@ def t_star_discrete(alpha: RealForm, weight: Weight, mask: np.ndarray | None = N
         raise ValidationError("adjoint of d needs degree >= 1")
     if mask is None:
         mask = grid.interior
+    dof = _dilate(mask)
+    n_in = num_indices(grid.dim, p)
     A = weighted_first_order_map(grid, weight, d_terms(grid.dim, p),
-                                 num_indices(grid.dim, p), num_indices(grid.dim, p + 1),
-                                 eq_mask=mask, dof_mask=_dilate(mask))
-    return RealForm(grid, p, A.adjoint(alpha.coeffs))
+                                 n_in, num_indices(grid.dim, p + 1),
+                                 eq_mask=mask, dof_mask=dof)
+    out = np.zeros((n_in,) + grid.shape)
+    out[:, dof] = A.adjoint(alpha.coeffs[:, mask])
+    return RealForm(grid, p, out)
 
 
 def dbar(u: ComplexForm) -> ComplexForm:

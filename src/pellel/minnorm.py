@@ -10,7 +10,9 @@ returned iterate solves the projected system (the same effect as an
 explicit least-squares pre-projection pass, without the extra solve).
 
 Weights enter only through the inner products; vectors are never scaled
-by exp(+-phi), so large weights cannot overflow the iteration.
+by exp(+-phi), so large weights cannot overflow the iteration.  Vectors
+are compact: one entry per node of the unknown or equation mask, so the
+iteration never touches the rest of the grid box.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import apply_terms, apply_terms_adjoint
+from .calculus import mask_stencils
 from .domain import Grid, Weight
 from .errors import NotInRangeError, ValidationError
 
@@ -30,7 +32,9 @@ class LinearMap:
     """Matrix-free operator between weighted coefficient-array spaces.
 
     apply/adjoint act on arrays of shape source_shape/target_shape; the
-    adjoint is exact for the supplied weighted inner products.
+    adjoint is exact for the supplied weighted inner products.  For the
+    maps of weighted_first_order_map these are compact arrays
+    (n_in, #dof nodes) and (n_out, #eq nodes).
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -94,33 +98,66 @@ class SolveReport:
         return out
 
 
+def _stencil_add(out, scale, v, diagonals):
+    """out += scale * (stencil applied to v), one gather per diagonal."""
+    for index, coef in diagonals:
+        # the indices are in range by construction; "clip" skips the check
+        t = np.take(v, index, mode="clip")
+        t *= scale * coef
+        out += t
+
+
 def weighted_first_order_map(grid: Grid, weight: Weight, terms,
                              n_in: int, n_out: int,
                              eq_mask: np.ndarray, dof_mask: np.ndarray,
                              dtype=float) -> LinearMap:
     """Masked weighted operator from a first-order term list.
 
-    A u = eq_mask * (op applied to dof_mask * u); the adjoint is the exact
-    transpose against the exp(-phi) h^N inner products on the two masks.
-    The weight is shift-normalized by its minimum over the unknowns so the
-    exponentials stay tame for large phi.
+    The source holds the unknowns, shape (n_in, #dof_mask nodes), the
+    target the equations, shape (n_out, #eq_mask nodes), nodes in C order
+    of each mask: box coefficients c map to c[:, mask], and u back to the
+    box by out[:, mask] = u.  A u is the box operator applied to u
+    extended by zero, read on eq_mask; the adjoint is the exact transpose
+    against the exp(-phi) h^N inner products on the two masks.  The
+    weight is shift-normalized by its minimum over the unknowns so the
+    exponentials stay tame for large phi.  apply and adjoint share one
+    work buffer, so a map serves one thread at a time.
     """
-    phi = weight.phi(grid.coords)
-    shift = float(phi[dof_mask].min()) if dof_mask.any() else 0.0
-    w_t = np.exp(-(phi - shift)) * eq_mask
-    w_s = np.exp(-(phi - shift)) * dof_mask
-    inv_w_s = np.zeros_like(w_s)
-    inv_w_s[dof_mask] = 1.0 / w_s[dof_mask]
+    phi_s = weight.phi(grid.coords[:, dof_mask])
+    shift = float(phi_s.min()) if phi_s.size else 0.0
+    w_s = np.exp(-(phi_s - shift))
+    w_t = np.exp(-(weight.phi(grid.coords[:, eq_mask]) - shift))
     vol = grid.cell_volume
-    src_shape = (n_in,) + grid.shape
-    tgt_shape = (n_out,) + grid.shape
+    src_shape = (n_in, w_s.size)
+    tgt_shape = (n_out, w_t.size)
+    forward = mask_stencils(eq_mask, dof_mask, grid.h)
+    backward = mask_stencils(dof_mask, eq_mask, grid.h, transpose=True)
+    buf = np.empty(max(n_in * (w_s.size + 1), n_out * (w_t.size + 1)), dtype=dtype)
+
+    def padded(x, shape):
+        # x in the work buffer, each row followed by the zero slot that
+        # the stencil indices of nodes outside the mask point at
+        rows, n = shape
+        v = buf[:rows * (n + 1)].reshape(rows, n + 1)
+        np.copyto(v[:, :-1], x, casting="same_kind")
+        v[:, -1] = 0.0
+        return v
 
     def apply(u):
-        return apply_terms(terms, u * dof_mask, n_out, grid.h, dtype=dtype) * eq_mask
+        v = padded(u, src_shape)
+        out = np.zeros(tgt_shape, dtype=dtype)
+        for o, i, s, ax in terms:
+            _stencil_add(out[o], s, v[i], forward[ax])
+        return out
 
     def adjoint(b):
-        raw = apply_terms_adjoint(terms, b * w_t, n_in, grid.h, dtype=dtype)
-        return raw * inv_w_s
+        v = padded(b, tgt_shape)
+        v[:, :-1] *= w_t
+        out = np.zeros(src_shape, dtype=dtype)
+        for o, i, s, ax in terms:
+            _stencil_add(out[i], np.conj(s), v[o], backward[ax])
+        out /= w_s
+        return out
 
     def dot_source(x, y):
         return float(np.sum((x * np.conj(y)).real * w_s) * vol)
@@ -129,7 +166,7 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         return float(np.sum((x * np.conj(y)).real * w_t) * vol)
 
     return LinearMap(apply, adjoint, dot_source, dot_target,
-                     src_shape, tgt_shape, n_in * int(dof_mask.sum()))
+                     src_shape, tgt_shape, n_in * w_s.size)
 
 
 def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,

@@ -78,11 +78,22 @@ def _closedness(df_norm2: float, f_norm2: float, h: float, label: str) -> None:
 STAGE_FAIL_RESIDUAL = 1e-2  # above this the stage result is not a solution
 
 
+def _checked_norm2(form, weight: Weight, mask: np.ndarray) -> float:
+    """Weighted norm over mask; a form that is nonzero on the mask but
+    whose norm underflows to 0 raises instead of passing a check vacuously."""
+    norm = forms.norm2(form, weight, mask)
+    if norm == 0.0 and np.any(form.coeffs[:, mask]):
+        raise ValidationError(
+            "weighted norm underflows to 0 for a form that is nonzero on the mask; "
+            "exp(-phi) vanishes there in double precision")
+    return norm
+
+
 def _report_norm2(form, weight: Weight, grid: Grid) -> float:
     """Norms in solve reports integrate over the equation mask: the
     discrete domain on which the equation is imposed (G plus a one-node
     collar that vanishes under refinement)."""
-    return forms.norm2(form, weight, grid.mask_eq)
+    return _checked_norm2(form, weight, grid.mask_eq)
 
 
 def _require_converged(report: SolveReport, stage: str) -> None:
@@ -97,12 +108,16 @@ def _solve_stage(stage: str, rhs, out_degree, terms, n_in: int, bound: float,
                  weight: Weight, grid: Grid, tol: float, maxiter: int | None):
     """Minimum-norm solve of the first-order equation given by terms, with
     the rhs's form type for the solution; the report's norms and ratios
-    are measured on the equation mask."""
+    are measured on the equation mask.  The solver runs on compact
+    vectors over the equation and unknown masks."""
+    dtype = complex if isinstance(rhs, ComplexForm) else float
     A = weighted_first_order_map(
         grid, weight, terms, n_in, rhs.coeffs.shape[0], grid.mask_eq, grid.mask_dof,
-        dtype=complex if isinstance(rhs, ComplexForm) else float)
-    arr, report = solve_min_norm(A, rhs.coeffs, tol=tol, maxiter=maxiter)
+        dtype=dtype)
+    u, report = solve_min_norm(A, rhs.coeffs[:, grid.mask_eq], tol=tol, maxiter=maxiter)
     _require_converged(report, stage)
+    arr = np.zeros((n_in,) + grid.shape, dtype=dtype)
+    arr[:, grid.mask_dof] = u
     solution = type(rhs)(grid, out_degree, arr)
     report.rhs_norm2 = _report_norm2(rhs, weight, grid)
     report.solution_norm2 = _report_norm2(solution, weight, grid)
@@ -208,7 +223,7 @@ def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,
     # the composed second-order residual is only equation-controlled on the
     # interior mask (one ring inside the dbar-stage equation mask)
     resid_form = 1j * calculus.partial(calculus.dbar(u)) - f
-    norm_f2_int = forms.norm2(f, weight, grid.interior)
+    norm_f2_int = _checked_norm2(f, weight, grid.interior)
     residual = (math.sqrt(forms.norm2(resid_form, weight, grid.interior) / norm_f2_int)
                 if norm_f2_int else 0.0)
     norm_u2 = _report_norm2(u, weight, grid)

@@ -5,6 +5,7 @@ import pytest
 
 import pellel as pl
 from pellel import calculus as calc
+from pellel import pipeline
 from pellel.errors import ValidationError
 
 
@@ -131,6 +132,22 @@ def test_pipeline_nonreal_linearity(disk_grid_coarse, gauss2):
     scale = np.abs(u.coeffs).max()
     assert np.abs(u.coeffs - combined).max() <= 1e-7 * scale
     assert rep.residual <= 1e-5
+
+
+def test_underflowing_norms_raise():
+    # phi = |x|^2 is about 900 on a disk centred at (30, 0), so exp(-phi)
+    # underflows to 0 at every node and each weighted norm of f reads 0
+    grid = pl.build_grid(pl.Domain.ball(1.0, center=(30.0, 0.0)), 1 / 16)
+    w = pl.Weight.abs2(2)
+    f = pl.standard_11_form(grid)
+    with pytest.raises(ValidationError, match="underflows"):
+        pl.solve_poincare_lelong(f, w, grid)
+    with pytest.raises(ValidationError, match="underflows"):
+        pl.solve_poincare(pl.RealForm.from_components(grid, 2, {(1, 2): 1.0}), w, grid)
+    # the interior-mask norm of the composed residual check
+    u = pl.ComplexForm.zeros(grid, (0, 0))
+    with pytest.raises(ValidationError, match="underflows"):
+        pipeline._assemble_report(f, u, w, grid, 2.0, 1.0)
 
 
 def test_pipeline_rejects_wrong_bidegree(disk_grid_coarse, gauss2):
