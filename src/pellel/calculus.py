@@ -251,9 +251,7 @@ def t_star_discrete(alpha: RealForm, weight: Weight, mask: np.ndarray | None = N
     A = weighted_first_order_map(grid, weight, d_terms(grid.dim, p),
                                  n_in, num_indices(grid.dim, p + 1),
                                  eq_mask=mask, dof_mask=dof)
-    out = np.zeros((n_in,) + grid.shape)
-    out[:, dof] = A.adjoint(alpha.coeffs[:, mask])
-    return RealForm(grid, p, out)
+    return RealForm(grid, p, grid.expand(A.adjoint(grid.compact(alpha.coeffs, mask)), dof))
 
 
 def dbar(u: ComplexForm) -> ComplexForm:

@@ -37,6 +37,11 @@ CSV_COLUMNS = ["mode", "N", "h", "c", "norm_f2", "norm_u2", "ratio",
 MODES = ("pipeline", "poincare", "dbar", "verify", "converge")
 
 
+def _is_number(value, kinds=(int, float)) -> bool:
+    """isinstance test that does not take a JSON true/false for a number."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 @dataclass
 class RunConfig:
     mode: str = "pipeline"
@@ -68,6 +73,16 @@ class RunConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("h", "margin", "tol", "slack"):
+            if not _is_number(getattr(self, name)):
+                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
+        for name in ("maxiter", "seed"):
+            value = getattr(self, name)
+            if not (_is_number(value, int) or name == "maxiter" and value is None):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if self.h_values is not None and not (
+                isinstance(self.h_values, list) and all(map(_is_number, self.h_values))):
+            raise ValidationError(f"h_values must be a list of numbers, got {self.h_values!r}")
         if self.h <= 0:
             raise ValidationError("h must be positive")
         if self.h_values is not None and any(h <= 0 for h in self.h_values):

@@ -158,18 +158,6 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    for ax in range(mask.ndim):
-        lo = tuple(slice(None) if i != ax else slice(None, -1) for i in range(mask.ndim))
-        hi = tuple(slice(None) if i != ax else slice(1, None) for i in range(mask.ndim))
-        shrunk = mask.copy()
-        shrunk[lo] &= mask[hi]
-        shrunk[hi] &= mask[lo]
-        out &= shrunk
-    return out
-
-
 @dataclass(frozen=True)
 class Grid:
     """Cell-centered uniform grid on a padded bounding box of the domain.
@@ -210,11 +198,22 @@ class Grid:
     @property
     def boundary_adjacent(self) -> np.ndarray:
         """Interior nodes with at least one axis neighbor outside G."""
-        return self.interior & ~_erode(self.interior)
+        return self.interior & _dilate(~self.interior)
 
-    def weight_values(self, weight: Weight) -> np.ndarray:
-        """exp(-phi) sampled at every box node."""
-        return np.exp(-weight.phi(self.coords))
+    def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous
+        (k, #mask nodes) array, nodes in C order."""
+        return np.take(a.reshape(len(a), mask.size), np.flatnonzero(mask), axis=1)
+
+    def expand(self, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Inverse of compact: the box array with u on the mask, 0 elsewhere."""
+        out = np.zeros((len(u),) + mask.shape, dtype=u.dtype)
+        out.reshape(len(u), mask.size)[:, np.flatnonzero(mask)] = u
+        return out
+
+    def weight_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
+        """exp(-phi) at the mask's nodes, in compact order."""
+        return np.exp(-weight.phi(self.compact(self.coords, mask)))
 
 
 def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> Grid:
@@ -247,7 +246,7 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
 def estimate_c(weight: Weight, domain: Domain, grid: Grid) -> float:
     """Convexity constant of the weight on G: the minimum over interior
     nodes of the smallest Hessian eigenvalue.  Rejects nonconvex weights."""
-    pts = grid.coords[:, grid.interior]
+    pts = grid.compact(grid.coords, grid.interior)
     hess = weight.hess(pts)
     eig = np.linalg.eigvalsh(np.moveaxis(hess, (0, 1), (-2, -1)))
     c = float(eig.min())

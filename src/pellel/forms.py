@@ -185,15 +185,17 @@ def norm11(f: ComplexForm) -> np.ndarray:
 
 def weighted_inner(f, g, weight: Weight, mask: np.ndarray | None = None):
     """Weighted inner product over G: midpoint quadrature of the pointwise
-    product against exp(-phi).  Real pairs give a float, complex pairs a
-    complex number."""
+    product against exp(-phi), evaluated at the mask's nodes only.  Real
+    pairs give a float, complex pairs a complex number."""
+    _check_same(f, g)
     grid = f.grid
     if mask is None:
         mask = grid.interior
-    w = grid.weight_values(weight) * grid.cell_volume
-    if isinstance(f, RealForm):
-        return float(np.sum((dot(f, g) * w)[mask]))
-    return complex(np.sum((hermitian_dot(f, g) * w)[mask]))
+    w = grid.weight_values(weight, mask) * grid.cell_volume
+    a = grid.compact(f.coeffs, mask)
+    b = a if g is f else grid.compact(g.coeffs, mask)
+    total = np.sum(np.einsum("kn,kn->n", a, b.conj()) * w)
+    return float(total) if isinstance(f, RealForm) else complex(total)
 
 
 def norm2(f, weight: Weight, mask: np.ndarray | None = None) -> float:
@@ -219,18 +221,28 @@ def to_csv(form, path) -> None:
 
 
 def from_csv(grid: Grid, degree_or_bidegree, path):
-    """Rebuild a form written by to_csv on a matching grid."""
+    """Rebuild a form written by to_csv on this grid.  Raises
+    ValidationError unless the node and coeff columns are exactly the
+    layout to_csv writes for this grid and form type."""
     with open(path, newline="") as fh:
         complex_form = "value_im" in next(csv.reader(fh))
     if complex_form:
         form = ComplexForm.zeros(grid, tuple(degree_or_bidegree))
     else:
         form = RealForm.zeros(grid, int(degree_or_bidegree))
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    flat = form.coeffs.reshape(form.coeffs.shape[0], -1)
-    node, k = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+    flat = form.coeffs.reshape(form.coeffs.shape[0], grid.interior.size)
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                           usecols=range(4 if complex_form else 3))
+    except ValueError as exc:
+        raise ValidationError(f"{path}: unreadable form table ({exc})") from None
+    k, node = np.indices(flat.shape).reshape(2, -1)
+    if not (np.array_equal(table[:, 0], node) and np.array_equal(table[:, 1], k)):
+        raise ValidationError(
+            f"{path}: table of {table.shape[0]} rows is not the layout of a "
+            f"{form.coeffs.shape[0]}-coefficient form on a grid of shape {grid.shape}")
     # the two parts are stored separately so signed zeros survive the round trip
-    flat.real[k, node] = table[:, 2]
+    flat.real[...] = table[:, 2].reshape(flat.shape)
     if complex_form:
-        flat.imag[k, node] = table[:, 3]
+        flat.imag[...] = table[:, 3].reshape(flat.shape)
     return form

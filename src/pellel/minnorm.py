@@ -17,6 +17,7 @@ iteration never touches the rest of the grid box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,6 +26,9 @@ import numpy as np
 from .calculus import mask_stencils
 from .domain import Grid, Weight
 from .errors import NotInRangeError, ValidationError
+
+RECOMPUTE_EVERY = 50  # iterations between recomputing the residual from f - A u
+STALL_WINDOW = 60  # iterations without a new best residual before stopping
 
 
 @dataclass
@@ -43,7 +47,6 @@ class LinearMap:
     dot_target: Callable[[np.ndarray, np.ndarray], float]
     source_shape: tuple[int, ...]
     target_shape: tuple[int, ...]
-    dof_count: int
 
     def check_adjoint(self, rng: np.random.Generator, n_probes: int = 10,
                       complex_valued: bool = False) -> float:
@@ -115,18 +118,18 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
 
     The source holds the unknowns, shape (n_in, #dof_mask nodes), the
     target the equations, shape (n_out, #eq_mask nodes), nodes in C order
-    of each mask: box coefficients c map to c[:, mask], and u back to the
-    box by out[:, mask] = u.  A u is the box operator applied to u
-    extended by zero, read on eq_mask; the adjoint is the exact transpose
-    against the exp(-phi) h^N inner products on the two masks.  The
-    weight is shift-normalized by its minimum over the unknowns so the
-    exponentials stay tame for large phi.  apply and adjoint share one
-    work buffer, so a map serves one thread at a time.
+    of each mask: the layout of grid.compact and grid.expand.  A u is the
+    box operator applied to u extended by zero, read on eq_mask; the
+    adjoint is the exact transpose against the exp(-phi) h^N inner
+    products on the two masks.  The weight is shift-normalized by its
+    minimum over the unknowns so the exponentials stay tame for large phi.
+    apply and adjoint share one work buffer, so a map serves one thread at
+    a time.
     """
-    phi_s = weight.phi(grid.coords[:, dof_mask])
+    phi_s = weight.phi(grid.compact(grid.coords, dof_mask))
     shift = float(phi_s.min()) if phi_s.size else 0.0
     w_s = np.exp(-(phi_s - shift))
-    w_t = np.exp(-(weight.phi(grid.coords[:, eq_mask]) - shift))
+    w_t = np.exp(-(weight.phi(grid.compact(grid.coords, eq_mask)) - shift))
     vol = grid.cell_volume
     src_shape = (n_in, w_s.size)
     tgt_shape = (n_out, w_t.size)
@@ -160,19 +163,16 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         return out
 
     def dot_source(x, y):
-        return float(np.sum((x * np.conj(y)).real * w_s) * vol)
+        return float(np.sum((x * y.conj()).real * w_s) * vol)
 
     def dot_target(x, y):
-        return float(np.sum((x * np.conj(y)).real * w_t) * vol)
+        return float(np.sum((x * y.conj()).real * w_t) * vol)
 
-    return LinearMap(apply, adjoint, dot_source, dot_target,
-                     src_shape, tgt_shape, n_in * w_s.size)
+    return LinearMap(apply, adjoint, dot_source, dot_target, src_shape, tgt_shape)
 
 
 def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
-                   maxiter: int | None = None,
-                   recompute_every: int = 50,
-                   stall_window: int = 60) -> tuple[np.ndarray, SolveReport]:
+                   maxiter: int | None = None) -> tuple[np.ndarray, SolveReport]:
     """Minimum-norm solution of A u = f by conjugate gradients on the
     weighted normal equations (CGLS form).
 
@@ -189,7 +189,7 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if maxiter is None:
-        maxiter = 10 * A.dof_count
+        maxiter = 10 * math.prod(A.source_shape)
     dtype = complex if np.iscomplexobj(f) else float
     u = np.zeros(A.source_shape, dtype=dtype)
     r = f.astype(dtype, copy=True)
@@ -219,7 +219,7 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         alpha = gamma / qq
         u += alpha * p
         k += 1
-        if k % recompute_every == 0:
+        if k % RECOMPUTE_EVERY == 0:
             r = f - A.apply(u)
         else:
             r -= alpha * q
@@ -232,7 +232,7 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         else:
             since_improve += 1
         history.append(float(np.sqrt(best_delta / delta0)))
-        if since_improve >= stall_window:
+        if since_improve >= STALL_WINDOW:
             reason = "stagnated"
             break
         p = s + (gamma_new / gamma) * p

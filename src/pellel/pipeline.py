@@ -82,7 +82,7 @@ def _checked_norm2(form, weight: Weight, mask: np.ndarray) -> float:
     """Weighted norm over mask; a form that is nonzero on the mask but
     whose norm underflows to 0 raises instead of passing a check vacuously."""
     norm = forms.norm2(form, weight, mask)
-    if norm == 0.0 and np.any(form.coeffs[:, mask]):
+    if norm == 0.0 and np.any(form.grid.compact(form.coeffs, mask)):
         raise ValidationError(
             "weighted norm underflows to 0 for a form that is nonzero on the mask; "
             "exp(-phi) vanishes there in double precision")
@@ -114,11 +114,10 @@ def _solve_stage(stage: str, rhs, out_degree, terms, n_in: int, bound: float,
     A = weighted_first_order_map(
         grid, weight, terms, n_in, rhs.coeffs.shape[0], grid.mask_eq, grid.mask_dof,
         dtype=dtype)
-    u, report = solve_min_norm(A, rhs.coeffs[:, grid.mask_eq], tol=tol, maxiter=maxiter)
+    u, report = solve_min_norm(A, grid.compact(rhs.coeffs, grid.mask_eq), tol=tol,
+                               maxiter=maxiter)
     _require_converged(report, stage)
-    arr = np.zeros((n_in,) + grid.shape, dtype=dtype)
-    arr[:, grid.mask_dof] = u
-    solution = type(rhs)(grid, out_degree, arr)
+    solution = type(rhs)(grid, out_degree, grid.expand(u, grid.mask_dof))
     report.rhs_norm2 = _report_norm2(rhs, weight, grid)
     report.solution_norm2 = _report_norm2(solution, weight, grid)
     report.bound = bound
@@ -253,7 +252,7 @@ def corollary_constant(domain, grid: Grid, f: ComplexForm | None = None,
     weight = Weight.abs2(grid.dim)
     if f is None:
         f = standard_11_form(grid)
-    phi = weight.phi(grid.coords)[grid.interior]
+    phi = weight.phi(grid.compact(grid.coords, grid.interior))
     c_omega = 2.0 * math.exp(float(phi.max()) - float(phi.min()))
     u, report = solve_poincare_lelong(f, weight, grid, tol=tol)
     zero = Weight.zero(grid.dim)

@@ -264,7 +264,7 @@ class BochnerResult:
 
 
 def _interior_quadrature(grid: Grid, weight: Weight):
-    pts = grid.coords[:, grid.interior]
+    pts = grid.compact(grid.coords, grid.interior)
     w = np.exp(-weight.phi(pts)) * grid.cell_volume
     return pts, w
 

@@ -1,7 +1,11 @@
 import csv
 import json
 
-from pellel import cli
+import pytest
+
+from pellel import cli, forms
+from pellel.domain import Domain, build_grid
+from pellel.forms import ComplexForm
 
 
 def write_cfg(tmp_path, **kw):
@@ -39,11 +43,31 @@ def test_run_verify_mode(tmp_path):
     assert report["detail"]["dalpha_max_deviation"] <= 1e-10
 
 
-def test_invalid_config_exits_nonzero(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, mode="pipeline", h=0.0, out=str(tmp_path / "out"))
+@pytest.mark.parametrize("bad", [
+    {"h": 0.0}, {"h": "0.125"}, {"h": True}, {"margin": "0"}, {"tol": None},
+    {"slack": [0.15]}, {"h_values": [0.125, "0.0625"]}, {"h_values": 0.125},
+    {"h_values": [False]}, {"maxiter": 10.5}, {"maxiter": True}, {"seed": "0"},
+    {"seed": 1.0},
+], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
+        "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
+        "maxiter_float", "maxiter_bool", "seed_string", "seed_float"])
+def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, mode="pipeline", out=str(tmp_path / "out"), **bad)
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("h, code", [(1 / 8, 0), (1 / 16, 2), (1 / 4, 2)],
+                         ids=["same_grid", "finer_grid", "coarser_grid"])
+def test_form_table_from_another_grid(tmp_path, capsys, h, code):
+    g = ComplexForm.zeros(build_grid(Domain.ball(1.0), 1 / 8), (0, 1))
+    g.coeffs[0] = 1.0
+    forms.to_csv(g, tmp_path / "g.csv")
+    cfg = write_cfg(tmp_path, mode="dbar", form={"table": str(tmp_path / "g.csv")},
+                    h=h, out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == code
+    assert ("configuration error" in capsys.readouterr().err) == (code == 2)
 
 
 def test_unknown_config_field_rejected(tmp_path):

@@ -158,3 +158,41 @@ def test_boundary_quadrature_unsupported_dimension():
 def test_domain_regularity_check():
     pl.Domain.ball(1.0).validate_regularity()
     pl.Domain.ellipsoid((0.5, 2.0, 1.0)).validate_regularity()
+
+
+def test_boundary_adjacent_matches_neighbor_scan():
+    grid = pl.build_grid(pl.Domain.ellipsoid((1.0, 0.7, 0.5)), 1 / 8)
+    outside_neighbor = np.zeros_like(grid.interior)
+    for ax in range(grid.dim):
+        for step in (-1, 1):
+            # the padding keeps interior nodes off the box faces, so no wrap
+            outside_neighbor |= ~np.roll(grid.interior, step, axis=ax)
+    assert np.array_equal(grid.boundary_adjacent, grid.interior & outside_neighbor)
+
+
+@pytest.mark.parametrize("dim, h", [(2, 1 / 8), (4, 1 / 3)], ids=["2d", "4d"])
+@pytest.mark.parametrize("ncoeff, dtype", [(2, float), (3, complex), (0, float), (0, complex)],
+                         ids=["real", "complex", "real_empty", "complex_empty"])
+def test_compact_expand_roundtrip(dim, h, ncoeff, dtype, rng):
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=dim), h)
+    a = rng.standard_normal((ncoeff,) + grid.shape).astype(dtype)
+    if dtype is complex:
+        a += 1j * rng.standard_normal(a.shape)
+    for mask in (grid.interior, grid.mask_eq, grid.mask_dof):
+        c = grid.compact(a, mask)
+        assert c.flags.c_contiguous
+        assert c.shape == (ncoeff, int(mask.sum())) and c.dtype == a.dtype
+        assert np.array_equal(c, a[:, mask])
+        back = grid.expand(c, mask)
+        assert back.dtype == a.dtype
+        assert np.array_equal(back, np.where(mask, a, 0))
+    assert np.array_equal(grid.compact(grid.coords, grid.mask_eq),
+                          grid.coords[:, grid.mask_eq])
+
+
+def test_weight_values_at_mask_nodes():
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
+    w = pl.Weight.abs2(2)
+    got = grid.weight_values(w, grid.mask_eq)
+    np.testing.assert_allclose(got, np.exp(-np.sum(grid.coords**2, axis=0))[grid.mask_eq],
+                               rtol=1e-14)

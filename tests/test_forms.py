@@ -70,6 +70,64 @@ def test_weighted_inner_symmetric_bilinear_positive(disk_grid_coarse, gauss2, rn
     assert pl.norm2(supported, gauss2) > 0.0
 
 
+def _counting_abs2(dim):
+    """phi = |x|^2 as a custom weight that records how many points phi sees."""
+    base = pl.Weight.abs2(dim)
+    counts = []
+
+    def phi(points):
+        counts.append(int(np.prod(np.shape(points)[1:])))
+        return base.phi(points)
+
+    return pl.Weight.custom(phi, base.grad, base.hess), counts
+
+
+def test_weighted_inner_evaluates_phi_on_mask_only(disk_grid_coarse):
+    g = disk_grid_coarse
+    weight, counts = _counting_abs2(2)
+    f = pl.RealForm.from_components(g, 1, {(1,): 1.0})
+    for mask, nodes in ((None, g.interior), (g.mask_eq, g.mask_eq), (g.mask_dof, g.mask_dof)):
+        counts.clear()
+        pl.weighted_inner(f, f, weight, mask)
+        assert counts == [int(nodes.sum())]
+
+
+def _box_then_mask(f, g, weight, mask):
+    """The weighted inner product as a box-wide formula: exp(-phi) and the
+    pointwise product at every box node, then the sum over the mask."""
+    grid = f.grid
+    w = np.exp(-weight.phi(grid.coords)) * grid.cell_volume
+    pointwise = np.zeros(grid.shape, dtype=f.coeffs.dtype)
+    for a, b in zip(f.coeffs, g.coeffs):
+        pointwise = pointwise + a * np.conj(b)
+    return np.sum((pointwise * w)[mask])
+
+
+@pytest.mark.parametrize("dim, h", [(2, 1 / 16), (4, 1 / 4)])
+def test_weighted_inner_matches_box_formula(dim, h, rng):
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=dim), h)
+    weight = pl.Weight.abs2(dim)
+
+    def real(degree):
+        n = len(pl.RealForm.zeros(grid, degree).coeffs)
+        return pl.RealForm(grid, degree, rng.standard_normal((n,) + grid.shape))
+
+    def cplx(bidegree):
+        n = len(pl.ComplexForm.zeros(grid, bidegree).coeffs)
+        shape = (n,) + grid.shape
+        return pl.ComplexForm(grid, bidegree, rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+
+    pairs = [(real(1), real(1)), (real(2), real(2)), (cplx((1, 1)), cplx((1, 1))),
+             (cplx((0, 1)), cplx((0, 1))), (real(dim + 1), real(dim + 1))]
+    for f, g in pairs:
+        for mask in (grid.interior, grid.mask_eq, grid.mask_dof):
+            got = pl.weighted_inner(f, g, weight, mask)
+            want = _box_then_mask(f, g, weight, mask)
+            assert type(got) is (float if isinstance(f, pl.RealForm) else complex)
+            assert abs(got - want) <= 1e-14 * abs(want)
+
+
 def test_hermitian_examples(disk_grid_coarse):
     g = disk_grid_coarse
     f = pl.ComplexForm.zeros(g, (1, 1))
@@ -156,6 +214,22 @@ def test_csv_golden_bytes(tmp_path):
     back = forms.from_csv(g, (0, 0), path)
     assert np.array_equal(back.coeffs, f.coeffs)
     assert np.array_equal(np.signbit(back.coeffs.real), np.signbit(re.reshape(1, 3, 3)))
+
+
+def test_csv_from_another_grid_or_form_type_raises(tmp_path, disk, rng):
+    g8 = pl.build_grid(disk, 1 / 8)
+    f = pl.RealForm(g8, 1, rng.standard_normal((2,) + g8.shape))
+    path = tmp_path / "f.csv"
+    forms.to_csv(f, path)
+    for h in (1 / 16, 1 / 4):  # more nodes, then fewer nodes than the table's grid
+        with pytest.raises(ValidationError, match="not the layout"):
+            forms.from_csv(pl.build_grid(disk, h), 1, path)
+    for degree in (0, 2):  # one coefficient per node instead of two
+        with pytest.raises(ValidationError, match="not the layout"):
+            forms.from_csv(g8, degree, path)
+    path.write_text("node,coeff,value\n0,0,x\n")
+    with pytest.raises(ValidationError, match="unreadable"):
+        forms.from_csv(g8, 1, path)
 
 
 def test_form_validation(disk_grid_coarse):
