@@ -26,7 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import forms, pipeline, verify
-from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid, estimate_c
+from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid
+# not called here (the reports carry c), but kept as this module's name: the
+# benchmark tracer in perfbench/tracing.py wraps pellel.cli.estimate_c
+from .domain import estimate_c  # noqa: F401
 from .errors import PellelError, SolverError, ValidationError
 from .forms import ComplexForm, RealForm
 from .pipeline import DEFAULT_SLACK
@@ -35,11 +38,69 @@ CSV_COLUMNS = ["mode", "N", "h", "c", "norm_f2", "norm_u2", "ratio",
                "bound", "residual", "order"]
 
 MODES = ("pipeline", "poincare", "dbar", "verify", "converge")
+VERIFY_SUITES = ("all", "dalpha", "boundary", "bochner", "basic")
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
     """isinstance test that does not take a JSON true/false for a number."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_number(value, int) and value > 0
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(map(_is_number, value))
+
+
+def _is_square_matrix(value) -> bool:
+    return isinstance(value, list) and len(value) > 0 and all(
+        _is_numbers(row) and len(row) == len(value) for row in value)
+
+
+def _is_degree(value) -> bool:
+    """A degree p >= 0 or a bidegree [p, q]."""
+    parts = value if isinstance(value, list) and len(value) == 2 else [value]
+    return all(_is_number(v, int) and v >= 0 for v in parts)
+
+
+# the fields of the domain, weight and form specs, by kind, with their type
+# tests; a form spec is of kind "table" when it names a table, else "preset"
+SPEC_FIELDS = {
+    "domain": {"ball": {"radius": _is_number, "dim": _is_count, "center": _is_numbers},
+               "ellipsoid": {"semi_axes": _is_numbers, "center": _is_numbers}},
+    "weight": {"abs2": {}, "zero": {}, "quadratic": {"matrix": _is_square_matrix}},
+    "form": {"preset": {"preset": lambda v: isinstance(v, str)},
+             "table": {"table": lambda v: isinstance(v, str), "degree": _is_degree}},
+}
+DEFAULT_KIND = {"domain": "ball", "weight": "abs2"}
+REQUIRED_FIELD = {"ellipsoid": "semi_axes", "quadratic": "matrix", "preset": "preset"}
+
+
+def _check_spec(name: str, spec) -> None:
+    """Raise ValidationError unless spec is an object of a known kind whose
+    fields are known, well typed and complete for that kind."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{name} must be an object, got {spec!r}")
+    if name == "form":
+        kind = "table" if "table" in spec else "preset"
+    else:
+        kind = spec.get("kind", DEFAULT_KIND[name])
+        if not isinstance(kind, str) or kind not in SPEC_FIELDS[name]:
+            raise ValidationError(f"unknown {name} kind {kind!r}")
+    fields = SPEC_FIELDS[name][kind]
+    for key, value in spec.items():
+        if key == "kind" and name != "form":
+            continue
+        if key not in fields:
+            raise ValidationError(f"unknown field {key!r} in {kind} {name} spec")
+        if not fields[key](value):
+            raise ValidationError(f"{name} field {key!r} has a value of the wrong "
+                                  f"type or shape: {value!r}")
+    required = REQUIRED_FIELD.get(kind)
+    if required is not None and required not in spec:
+        raise ValidationError(f"{kind} {name} spec needs {required!r}")
 
 
 @dataclass
@@ -80,9 +141,16 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_number(value, int) or name == "maxiter" and value is None):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.h_values is not None and not (
-                isinstance(self.h_values, list) and all(map(_is_number, self.h_values))):
-            raise ValidationError(f"h_values must be a list of numbers, got {self.h_values!r}")
+        if self.h_values is not None and not _is_numbers(self.h_values):
+            raise ValidationError(
+                f"h_values must be a nonempty list of numbers, got {self.h_values!r}")
+        if not isinstance(self.dump_forms, bool):
+            raise ValidationError(f"dump_forms must be true or false, got {self.dump_forms!r}")
+        if self.verify_suite not in VERIFY_SUITES:
+            raise ValidationError(
+                f"verify_suite must be one of {VERIFY_SUITES}, got {self.verify_suite!r}")
+        for name in SPEC_FIELDS:
+            _check_spec(name, getattr(self, name))
         if self.h <= 0:
             raise ValidationError("h must be positive")
         if self.h_values is not None and any(h <= 0 for h in self.h_values):
@@ -94,10 +162,12 @@ class RunConfig:
 
 
 def _build_domain(spec: dict) -> Domain:
-    kind = spec.get("kind", "ball")
+    kind = spec.get("kind", DEFAULT_KIND["domain"])
     center = spec.get("center")
     if kind == "ball":
         dim = spec.get("dim", len(center) if center else 2)
+        if center is not None and len(center) != dim:
+            raise ValidationError(f"ball center {center} does not have dim = {dim} coordinates")
         return Domain.ball(spec.get("radius", 1.0), center=center, dim=dim)
     if kind == "ellipsoid":
         return Domain.ellipsoid(spec["semi_axes"], center=center)
@@ -105,13 +175,17 @@ def _build_domain(spec: dict) -> Domain:
 
 
 def _build_weight(spec: dict, dim: int) -> Weight:
-    kind = spec.get("kind", "abs2")
+    kind = spec.get("kind", DEFAULT_KIND["weight"])
     if kind == "abs2":
         return Weight.abs2(dim)
     if kind == "zero":
         return Weight.zero(dim)
     if kind == "quadratic":
-        return Weight.quadratic(np.asarray(spec["matrix"], dtype=float))
+        matrix = np.asarray(spec["matrix"], dtype=float)
+        if matrix.shape != (dim, dim):
+            raise ValidationError(f"quadratic weight on a {dim}-dimensional domain "
+                                  f"needs a {dim} x {dim} matrix, got {matrix.shape}")
+        return Weight.quadratic(matrix)
     raise ValidationError(f"unknown weight kind {kind!r}")
 
 
@@ -167,7 +241,7 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
                        f"{rep.ratio:.6f} <= {bound:.6f}"))
         checks.append(("residual_small", rep.relative_residual <= cfg.tol * 10,
                        f"{rep.relative_residual:.3e}"))
-        row.update(c=estimate_c(weight, domain, grid), norm_f2=rep.rhs_norm2,
+        row.update(c=rep.c, norm_f2=rep.rhs_norm2,
                    norm_u2=rep.solution_norm2, ratio=rep.ratio,
                    bound=rep.bound, residual=rep.relative_residual)
     else:

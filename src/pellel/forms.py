@@ -12,6 +12,7 @@ interior mask unless another mask is passed explicitly.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +209,7 @@ def to_csv(form, path) -> None:
     """Flat snapshot: node index (C-order over the box), coefficient
     position (lexicographic layout), value (re/im columns when complex)."""
     complex_form = isinstance(form, ComplexForm)
-    flat = form.coeffs.reshape(form.coeffs.shape[0], -1)
+    flat = form.coeffs.reshape(form.coeffs.shape[0], form.grid.interior.size)
     k, node = np.indices(flat.shape).reshape(2, -1).tolist()
     values = flat.ravel()
     columns = [node, k, map(repr, np.asarray(values.real, dtype=float).tolist())]
@@ -226,14 +227,21 @@ def from_csv(grid: Grid, degree_or_bidegree, path):
     layout to_csv writes for this grid and form type."""
     with open(path, newline="") as fh:
         complex_form = "value_im" in next(csv.reader(fh))
+    if complex_form != isinstance(degree_or_bidegree, (tuple, list)):
+        raise ValidationError(
+            f"{path}: a {'complex' if complex_form else 'real'} form table needs a "
+            f"{'bidegree (p, q)' if complex_form else 'degree'}, got {degree_or_bidegree!r}")
     if complex_form:
         form = ComplexForm.zeros(grid, tuple(degree_or_bidegree))
     else:
         form = RealForm.zeros(grid, int(degree_or_bidegree))
     flat = form.coeffs.reshape(form.coeffs.shape[0], grid.interior.size)
     try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
-                           usecols=range(4 if complex_form else 3))
+        with warnings.catch_warnings():
+            # the table of a form without coefficients has a header only
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                               usecols=range(4 if complex_form else 3))
     except ValueError as exc:
         raise ValidationError(f"{path}: unreadable form table ({exc})") from None
     k, node = np.indices(flat.shape).reshape(2, -1)

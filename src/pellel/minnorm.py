@@ -18,7 +18,7 @@ iteration never touches the rest of the grid box.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -70,13 +70,15 @@ class LinearMap:
 class SolveReport:
     """Outcome of one minimum-norm solve.
 
-    solve_min_norm fills the iteration record.  The norms, bound and
-    ratios stay None until a pipeline stage sets them; the norms then
-    integrate over the equation mask against exp(-phi), unshifted.
+    solve_min_norm fills the iteration record.  The convexity constant c,
+    the norms, bound and ratios stay None until a pipeline stage sets
+    them; the norms then integrate over the equation mask against
+    exp(-phi), unshifted.
     """
 
     iterations: int
     relative_residual: float
+    c: float | None = None
     solution_norm2: float | None = None
     rhs_norm2: float | None = None
     bound: float | None = None
@@ -87,18 +89,7 @@ class SolveReport:
     residual_history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        out = {
-            "iterations": self.iterations,
-            "relative_residual": self.relative_residual,
-            "solution_norm2": self.solution_norm2,
-            "rhs_norm2": self.rhs_norm2,
-            "bound": self.bound,
-            "ratio": self.ratio,
-            "bound_ratio": self.bound_ratio,
-            "converged": self.converged,
-            "reason": self.reason,
-        }
-        return out
+        return asdict(self)
 
 
 def _stencil_add(out, scale, v, diagonals):

@@ -20,7 +20,7 @@ discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,21 +58,7 @@ class PipelineReport:
     parts: tuple | None = None
 
     def to_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items()
-               if k not in ("stage_poincare", "stage_dbar", "parts")}
-        out["stage_poincare"] = self.stage_poincare.to_dict() if self.stage_poincare else None
-        out["stage_dbar"] = self.stage_dbar.to_dict() if self.stage_dbar else None
-        if self.parts:
-            out["parts"] = [p.to_dict() for p in self.parts]
-        return out
-
-
-def _closedness(df_norm2: float, f_norm2: float, h: float, label: str) -> None:
-    lhs = math.sqrt(max(df_norm2, 0.0))
-    rhs = CLOSEDNESS_FACTOR * h * math.sqrt(max(f_norm2, 0.0))
-    if lhs > rhs:
-        raise ValidationError(
-            f"{label} is not closed: residual {lhs:.3e} exceeds {rhs:.3e}")
+        return asdict(self)
 
 
 STAGE_FAIL_RESIDUAL = 1e-2  # above this the stage result is not a solution
@@ -104,12 +90,21 @@ def _require_converged(report: SolveReport, stage: str) -> None:
             f"({report.reason})")
 
 
-def _solve_stage(stage: str, rhs, out_degree, terms, n_in: int, bound: float,
-                 weight: Weight, grid: Grid, tol: float, maxiter: int | None):
+def _solve_stage(stage: str, rhs, closure, out_degree, terms, n_in: int,
+                 c: float, bound: float, weight: Weight, grid: Grid, tol: float,
+                 maxiter: int | None):
     """Minimum-norm solve of the first-order equation given by terms, with
     the rhs's form type for the solution; the report's norms and ratios
-    are measured on the equation mask.  The solver runs on compact
-    vectors over the equation and unknown masks."""
+    are measured on the equation mask.  Unless closure is None, the rhs
+    must first pass the closedness gate |closure(rhs)| <= factor * h * |rhs|.
+    The solver runs on compact vectors over the equation and unknown masks."""
+    rhs_norm2 = _report_norm2(rhs, weight, grid)
+    if closure is not None:
+        residual = math.sqrt(_report_norm2(closure(rhs), weight, grid))
+        limit = CLOSEDNESS_FACTOR * grid.h * math.sqrt(rhs_norm2)
+        if residual > limit:
+            raise ValidationError(f"{stage} right-hand side is not closed: "
+                                  f"residual {residual:.3e} exceeds {limit:.3e}")
     dtype = complex if isinstance(rhs, ComplexForm) else float
     A = weighted_first_order_map(
         grid, weight, terms, n_in, rhs.coeffs.shape[0], grid.mask_eq, grid.mask_dof,
@@ -118,32 +113,31 @@ def _solve_stage(stage: str, rhs, out_degree, terms, n_in: int, bound: float,
                                maxiter=maxiter)
     _require_converged(report, stage)
     solution = type(rhs)(grid, out_degree, grid.expand(u, grid.mask_dof))
-    report.rhs_norm2 = _report_norm2(rhs, weight, grid)
+    report.c = c
+    report.rhs_norm2 = rhs_norm2
     report.solution_norm2 = _report_norm2(solution, weight, grid)
     report.bound = bound
-    report.ratio = report.solution_norm2 / report.rhs_norm2 if report.rhs_norm2 else 0.0
+    report.ratio = report.solution_norm2 / rhs_norm2 if rhs_norm2 else 0.0
     report.bound_ratio = report.ratio / report.bound
     return solution, report
 
 
 def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
-                   tol: float = 1e-8, maxiter: int | None = None,
-                   check_closed: bool = True) -> tuple[RealForm, SolveReport]:
+                   tol: float = 1e-8, maxiter: int | None = None
+                   ) -> tuple[RealForm, SolveReport]:
     """Minimum-weighted-norm u with du = f for a d-closed (p+1)-form f.
 
     The reported ratio |u|^2 / |f|^2 is stored against the solvability
     bound 1/(c(p+1)).
     """
+    if not isinstance(f, RealForm):
+        raise ValidationError(f"d-equation solve expects a real form, got {type(f).__name__}")
     p = f.degree - 1
     if not 0 <= p <= grid.dim - 1:
         raise ValidationError(f"degree {f.degree} outside 1..{grid.dim}")
     c = estimate_c(weight, grid.domain, grid)
-    if check_closed:
-        df = calculus.d(f)
-        _closedness(_report_norm2(df, weight, grid), _report_norm2(f, weight, grid),
-                    grid.h, "f")
-    return _solve_stage("poincare", f, p, calculus.d_terms(grid.dim, p),
-                        num_indices(grid.dim, p), 1.0 / (c * (p + 1)),
+    return _solve_stage("poincare", f, calculus.d, p, calculus.d_terms(grid.dim, p),
+                        num_indices(grid.dim, p), c, 1.0 / (c * (p + 1)),
                         weight, grid, tol, maxiter)
 
 
@@ -152,17 +146,13 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
                check_closed: bool = True) -> tuple[ComplexForm, SolveReport]:
     """Minimum-weighted-norm scalar w with dbar w = g for a closed (0,1)
     form g; the ratio is reported against 2/c_levi with c_levi = c/2."""
-    if tuple(g.bidegree) != (0, 1):
+    if not isinstance(g, ComplexForm) or tuple(g.bidegree) != (0, 1):
         raise ValidationError("dbar solve expects a (0,1) form")
-    n = g.n
     c = estimate_c(weight, grid.domain, grid)
     c_levi = 0.5 * c
-    if check_closed and n >= 2:
-        dg = calculus.dbar(g)
-        _closedness(_report_norm2(dg, weight, grid), _report_norm2(g, weight, grid),
-                    grid.h, "g")
-    return _solve_stage("dbar", g, (0, 0), calculus.complex_terms(n, (0, 0), True),
-                        1, 2.0 / c_levi, weight, grid, tol, maxiter)
+    closure = calculus.dbar if check_closed and g.n >= 2 else None
+    return _solve_stage("dbar", g, closure, (0, 0), calculus.complex_terms(g.n, (0, 0), True),
+                        1, c, 2.0 / c_levi, weight, grid, tol, maxiter)
 
 
 def _is_real11(f: ComplexForm, tol: float = 1e-10) -> bool:
@@ -172,38 +162,38 @@ def _is_real11(f: ComplexForm, tol: float = 1e-10) -> bool:
 
 
 def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
-                          tol: float = 1e-10, maxiter: int | None = None,
-                          check_closed: bool = True) -> tuple[ComplexForm, PipelineReport]:
+                          tol: float = 1e-10, maxiter: int | None = None
+                          ) -> tuple[ComplexForm, PipelineReport]:
     """Solve i d dbar u = f for a d-closed (1,1) form f in the weighted
     space over G; u is the composition of the minimum-norm stages."""
-    if tuple(f.bidegree) != (1, 1):
+    if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
-    c = estimate_c(weight, grid.domain, grid)
+    if _is_real11(f):
+        return _solve_real11(f, weight, grid, tol, maxiter)
+    f_conj = calculus.conj_form(f)
+    u1, rep1 = _solve_real11(0.5 * (f + f_conj), weight, grid, tol, maxiter)
+    u2, rep2 = _solve_real11((-0.5j) * (f - f_conj), weight, grid, tol, maxiter)
+    u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
+    report = _assemble_report(f, u, weight, grid, rep1.c, _report_norm2(f, weight, grid))
+    report.parts = (rep1, rep2)
+    return u, report
+
+
+def _solve_real11(f: ComplexForm, weight: Weight, grid: Grid, tol: float,
+                  maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
+    """The three stages for a real (1,1) form f; the caller has tested
+    its realness."""
     norm_f2 = _report_norm2(f, weight, grid)
-
-    if not _is_real11(f):
-        f1 = 0.5 * (f + calculus.conj_form(f))
-        f2 = (-0.5j) * (f - calculus.conj_form(f))
-        u1, rep1 = solve_poincare_lelong(f1, weight, grid, tol, maxiter, check_closed)
-        u2, rep2 = solve_poincare_lelong(f2, weight, grid, tol, maxiter, check_closed)
-        u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
-        report = _assemble_report(f, u, weight, grid, c, norm_f2)
-        report.parts = (rep1, rep2)
-        return u, report
-
-    g = bridge.real11_to_real2(f)
-    if check_closed:
-        dg = calculus.d(g)
-        _closedness(_report_norm2(dg, weight, grid), _report_norm2(g, weight, grid),
-                    grid.h, "f (as 2-form)")
-    v, rep_p = solve_poincare(g, weight, grid, tol=tol, maxiter=maxiter,
-                              check_closed=False)
+    g = bridge.real11_to_real2(f, require_real=False)
+    v, rep_p = solve_poincare(g, weight, grid, tol=tol, maxiter=maxiter)
     v10, v01 = bridge.split_1form(v)
+    # v^{0,1} is dbar-closed only up to the residual of the Poincare stage
     w, rep_d = solve_dbar(v01, weight, grid, tol=tol, maxiter=maxiter,
                           check_closed=False)
     u = ComplexForm(grid, (0, 0), -1j * (w.coeffs - w.coeffs.conj()))
 
-    report = _assemble_report(f, u, weight, grid, c, norm_f2)
+    report = _assemble_report(f, u, weight, grid, rep_p.c, norm_f2)
+    report.realness = float(np.abs(u.coeffs.imag).max())
     report.stage_poincare = rep_p
     report.stage_dbar = rep_d
     report.norm_v2 = rep_p.solution_norm2
@@ -226,7 +216,6 @@ def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,
     residual = (math.sqrt(forms.norm2(resid_form, weight, grid.interior) / norm_f2_int)
                 if norm_f2_int else 0.0)
     norm_u2 = _report_norm2(u, weight, grid)
-    realness = float(np.abs(u.coeffs.imag).max()) if _is_real11(f) else 0.0
     return PipelineReport(
         c=c, c_levi=0.5 * c,
         norm_f2=norm_f2, norm_u2=norm_u2,
@@ -235,7 +224,6 @@ def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,
         bound_main=8.0 / c**2,
         ratio=norm_u2 / norm_f2 if norm_f2 else 0.0,
         residual=residual,
-        realness=realness,
     )
 
 

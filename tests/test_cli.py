@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,11 +52,32 @@ def test_run_verify_mode(tmp_path):
     {"slack": [0.15]}, {"h_values": [0.125, "0.0625"]}, {"h_values": 0.125},
     {"h_values": [False]}, {"maxiter": 10.5}, {"maxiter": True}, {"seed": "0"},
     {"seed": 1.0},
+    {"mode": "verify", "verify_suite": "dalpah"},
+    {"mode": "dbar", "form": {"preset": "dzbar"}, "dump_forms": "yes"},
+    {"mode": "converge", "h_values": []},
+    {"domain": {"kind": "ball", "radius": "1"}},
+    {"domain": {"kind": "ball", "radus": 1.0}},
+    {"domain": "ball"},
+    {"domain": {"kind": "ball", "dim": 4, "center": [0.0, 0.0]}},
+    {"domain": {"kind": "ellipsoid"}},
+    {"weight": {"kind": "quadratic"}},
+    {"weight": {"kind": "quadratic", "matrix": [[1.0, 0.0], [0.0]]}},
+    {"weight": {"kind": "quadratic", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]]}},
+    {"form": "i_dz_dzbar"},
+    {"form": {"table": 5}},
+    {"mode": "pipeline", "form": {"preset": "dx1_dx2"}},
+    {"mode": "poincare", "form": {"preset": "dzbar"}},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
-        "maxiter_float", "maxiter_bool", "seed_string", "seed_float"])
+        "maxiter_float", "maxiter_bool", "seed_string", "seed_float",
+        "verify_suite_unknown", "dump_forms_string", "h_values_empty",
+        "radius_string", "domain_field_unknown", "domain_string",
+        "ball_center_dim_mismatch", "ellipsoid_no_axes", "quadratic_no_matrix",
+        "quadratic_ragged", "quadratic_wrong_dim", "form_string", "form_table_number",
+        "pipeline_real_form", "poincare_complex_form"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
-    cfg = write_cfg(tmp_path, mode="pipeline", out=str(tmp_path / "out"), **bad)
+    cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
@@ -123,3 +148,16 @@ def test_dump_forms(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy's import time and memory would show in every pellel run
+    # (about 0.25 s and 22 MB); only the tests use it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, pellel, pellel.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

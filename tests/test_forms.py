@@ -230,6 +230,26 @@ def test_csv_from_another_grid_or_form_type_raises(tmp_path, disk, rng):
     path.write_text("node,coeff,value\n0,0,x\n")
     with pytest.raises(ValidationError, match="unreadable"):
         forms.from_csv(g8, 1, path)
+    with pytest.raises(ValidationError, match="needs a bidegree"):  # complex table, degree
+        forms.to_csv(pl.ComplexForm.zeros(g8, (0, 1)), path)
+        forms.from_csv(g8, 1, path)
+    with pytest.raises(ValidationError, match="needs a degree"):  # real table, bidegree
+        forms.to_csv(f, path)
+        forms.from_csv(g8, (0, 1), path)
+
+
+@pytest.mark.parametrize("kind", [3, (2, 0)], ids=["real_degree3", "complex_20"])
+def test_csv_roundtrip_without_coefficients(tmp_path, disk_grid_coarse, kind):
+    # a degree-3 form in 2-D and a (2,0) form over C^1 have no coefficients:
+    # the table is the header alone
+    g = disk_grid_coarse
+    f = pl.ComplexForm.zeros(g, kind) if isinstance(kind, tuple) else pl.RealForm.zeros(g, kind)
+    assert f.coeffs.shape == (0,) + g.shape
+    path = tmp_path / "f.csv"
+    forms.to_csv(f, path)
+    assert len(path.read_text().splitlines()) == 1
+    back = forms.from_csv(g, kind, path)
+    assert type(back) is type(f) and back.coeffs.shape == f.coeffs.shape
 
 
 def test_form_validation(disk_grid_coarse):

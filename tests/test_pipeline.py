@@ -156,11 +156,57 @@ def test_pipeline_rejects_wrong_bidegree(disk_grid_coarse, gauss2):
         pl.solve_poincare_lelong(g, gauss2, disk_grid_coarse)
 
 
+def test_solvers_reject_the_wrong_form_class(disk_grid_coarse, gauss2):
+    grid = disk_grid_coarse
+    real2 = pl.RealForm.from_components(grid, 2, {(1, 2): 1.0})
+    real1 = pl.RealForm.from_components(grid, 1, {(1,): 1.0})
+    with pytest.raises(ValidationError, match="real form"):
+        pl.solve_poincare(pl.standard_11_form(grid), gauss2, grid)
+    with pytest.raises(ValidationError, match=r"\(0,1\) form"):
+        pl.solve_dbar(real1, gauss2, grid)
+    with pytest.raises(ValidationError, match=r"\(1,1\) form"):
+        pl.solve_poincare_lelong(real2, gauss2, grid)
+
+
+def test_pipeline_rejects_nonclosed_real_11_form():
+    # i x3 dz1 ^ dzbar1 over C^2 is real, and d of it is i dx3 ^ dz1 ^ dzbar1
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    f = pl.ComplexForm.zeros(grid, (1, 1))
+    f.coeffs[0] = 1j * grid.coords[2]
+    assert pipeline._is_real11(f)
+    with pytest.raises(ValidationError, match="not closed"):
+        pl.solve_poincare_lelong(f, pl.Weight.abs2(4), grid)
+
+
+def test_pipeline_computes_c_and_realness_once_per_stage(monkeypatch, disk_grid_coarse,
+                                                         gauss2):
+    calls = {"estimate_c": 0, "conj_form": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "estimate_c", counted("estimate_c", pipeline.estimate_c))
+    monkeypatch.setattr(calc, "conj_form", counted("conj_form", calc.conj_form))
+    _, rep = pl.solve_poincare_lelong(pl.standard_11_form(disk_grid_coarse), gauss2,
+                                      disk_grid_coarse)
+    # one estimate per stage, which the pipeline report reuses; one realness test
+    assert calls == {"estimate_c": 2, "conj_form": 1}
+    assert rep.c == rep.stage_poincare.c == rep.stage_dbar.c == pytest.approx(2.0)
+
+
 def test_report_serializes(disk_grid_coarse, gauss2):
     f = pl.standard_11_form(disk_grid_coarse)
     _, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
-    dumped = json.dumps(rep.to_dict())
-    assert "stage_poincare" in dumped
+    out = rep.to_dict()
+    dumped = json.loads(json.dumps(out))
+    assert dumped == out
+    for stage in ("stage_poincare", "stage_dbar"):
+        assert dumped[stage]["c"] == rep.c
+        assert dumped[stage]["residual_history"] == getattr(rep, stage).residual_history
+        assert len(dumped[stage]["residual_history"]) == getattr(rep, stage).iterations
 
 
 def test_corollary_constant_formula(disk, disk_grid_coarse):
