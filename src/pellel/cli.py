@@ -165,10 +165,7 @@ def _build_domain(spec: dict) -> Domain:
     kind = spec.get("kind", DEFAULT_KIND["domain"])
     center = spec.get("center")
     if kind == "ball":
-        dim = spec.get("dim", len(center) if center else 2)
-        if center is not None and len(center) != dim:
-            raise ValidationError(f"ball center {center} does not have dim = {dim} coordinates")
-        return Domain.ball(spec.get("radius", 1.0), center=center, dim=dim)
+        return Domain.ball(spec.get("radius", 1.0), center=center, dim=spec.get("dim"))
     if kind == "ellipsoid":
         return Domain.ellipsoid(spec["semi_axes"], center=center)
     raise ValidationError(f"unknown domain kind {kind!r}")

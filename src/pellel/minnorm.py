@@ -1,13 +1,25 @@
 """Minimum-weighted-norm solves of first-order grid equations A u = f.
 
-The solver runs conjugate gradients on the weighted normal equations in
-least-squares (CGLS) form: iterates build up in the range of the weighted
-adjoint, hence stay orthogonal to ker A, which characterizes the
-minimum-source-norm solution among all solutions of A u = P_range f.
-Right-hand sides with a component outside the numerical range are handled
-implicitly: the residual floors at the distance to the range and the
-returned iterate solves the projected system (the same effect as an
-explicit least-squares pre-projection pass, without the extra solve).
+Two Krylov methods share one entry point, solve_min_norm; the shape of
+the map picks between them.
+
+* A map with one equation component (n_out == 1: the top-degree d and
+  dbar in C^1) carries a preconditioner for its normal operator
+  A A* = A W_s^{-1} A^H W_t, and the solver runs preconditioned conjugate
+  gradients on the dual system A A* y = f, with u = A* y (Craig's method).
+  Every iterate lies in range(A*), so the limit is the minimum-norm
+  solution for any symmetric positive definite preconditioner.  The
+  preconditioner is a multigrid V-cycle (pellel.multigrid), so the
+  iteration count stays about flat in h.
+* Every other map runs conjugate gradients on the weighted normal
+  equations in least-squares (CGLS) form: iterates build up in the range
+  of the weighted adjoint, hence stay orthogonal to ker A, which
+  characterizes the minimum-source-norm solution among all solutions of
+  A u = P_range f.  Right-hand sides with a component outside the
+  numerical range are handled implicitly: the residual floors at the
+  distance to the range and the returned iterate solves the projected
+  system (the same effect as an explicit least-squares pre-projection
+  pass, without the extra solve).
 
 Weights enter only through the inner products; vectors are never scaled
 by exp(+-phi), so large weights cannot overflow the iteration.  Vectors
@@ -26,6 +38,7 @@ import numpy as np
 from .calculus import mask_stencils
 from .domain import Grid, Weight
 from .errors import NotInRangeError, ValidationError
+from .multigrid import ParityMultigrid
 
 RECOMPUTE_EVERY = 50  # iterations between recomputing the residual from f - A u
 STALL_WINDOW = 60  # iterations without a new best residual before stopping
@@ -38,7 +51,10 @@ class LinearMap:
     apply/adjoint act on arrays of shape source_shape/target_shape; the
     adjoint is exact for the supplied weighted inner products.  For the
     maps of weighted_first_order_map these are compact arrays
-    (n_in, #dof nodes) and (n_out, #eq nodes).
+    (n_in, #dof nodes) and (n_out, #eq nodes).  preconditioner, when set,
+    maps a target array to an approximation of (A A*)^{-1} applied to it,
+    and is self-adjoint and positive definite for dot_target;
+    solve_min_norm then solves the dual system.
     """
 
     apply: Callable[[np.ndarray], np.ndarray]
@@ -47,6 +63,7 @@ class LinearMap:
     dot_target: Callable[[np.ndarray, np.ndarray], float]
     source_shape: tuple[int, ...]
     target_shape: tuple[int, ...]
+    preconditioner: Callable[[np.ndarray], np.ndarray] | None = None
 
     def check_adjoint(self, rng: np.random.Generator, n_probes: int = 10,
                       complex_valued: bool = False) -> float:
@@ -70,14 +87,17 @@ class LinearMap:
 class SolveReport:
     """Outcome of one minimum-norm solve.
 
-    solve_min_norm fills the iteration record.  The convexity constant c,
-    the norms, bound and ratios stay None until a pipeline stage sets
-    them; the norms then integrate over the equation mask against
-    exp(-phi), unshifted.
+    solve_min_norm fills the iteration record: the method that ran
+    ("craig" or "cgls") and matvecs, its count of apply plus adjoint
+    calls.  The convexity constant c, the norms, bound and ratios stay
+    None until a pipeline stage sets them; the norms then integrate over
+    the equation mask against exp(-phi), unshifted.
     """
 
     iterations: int
     relative_residual: float
+    method: str = "cgls"
+    matvecs: int = 0
     c: float | None = None
     solution_norm2: float | None = None
     rhs_norm2: float | None = None
@@ -116,6 +136,12 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     minimum over the unknowns so the exponentials stay tame for large phi.
     apply and adjoint share one work buffer, so a map serves one thread at
     a time.
+
+    With one equation component (n_out == 1) the map carries a
+    preconditioner: one multigrid V-cycle for the axis-diagonal part of
+    A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  Its hierarchy is
+    built on the first call, so maps that are never solved do not pay
+    for it.
     """
     phi_s = weight.phi(grid.compact(grid.coords, dof_mask))
     shift = float(phi_s.min()) if phi_s.size else 0.0
@@ -159,40 +185,104 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     def dot_target(x, y):
         return float(np.sum((x * y.conj()).real * w_t) * vol)
 
-    return LinearMap(apply, adjoint, dot_source, dot_target, src_shape, tgt_shape)
+    preconditioner = None
+    if n_out == 1 and terms:
+        axis_scale = np.zeros(grid.dim)
+        for _, _, s, ax in terms:
+            axis_scale[ax] += abs(s) ** 2
+        multigrid = None
+
+        def preconditioner(r):
+            nonlocal multigrid
+            if multigrid is None:
+                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale)
+            out = multigrid(r[0])
+            out /= w_t
+            return out[None]
+
+    return LinearMap(apply, adjoint, dot_source, dot_target, src_shape, tgt_shape,
+                     preconditioner)
+
+
+class _Progress:
+    """Best-so-far residual history and stall test of one solve."""
+
+    def __init__(self, delta0: float):
+        self.delta0 = delta0
+        self.best = delta0
+        self.since_improve = 0
+        self.history: list[float] = []
+
+    def stalled(self, delta: float) -> bool:
+        """Record the squared residual of one iteration; True once
+        STALL_WINDOW iterations in a row brought no new best."""
+        if delta < self.best:
+            self.best = delta
+            self.since_improve = 0
+        else:
+            self.since_improve += 1
+        self.history.append(float(np.sqrt(self.best / self.delta0)))
+        return self.since_improve >= STALL_WINDOW
 
 
 def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
                    maxiter: int | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Minimum-norm solution of A u = f by conjugate gradients on the
-    weighted normal equations (CGLS form).
+    """Minimum-norm solution of A u = f.
 
-    Every iterate lies in the range of the adjoint, hence orthogonal to
-    ker A; the limit is therefore the minimum-source-norm solution of
-    A u = P_range f.  The target-norm residual is minimized over growing
-    Krylov spaces, so it is nonincreasing; when f has a component outside
-    the numerical range the residual stalls at its size (the projection
-    happens implicitly) and the report says so.  The last iterate is
-    returned with its own residual; residual_history keeps the best
-    residual so far.  Raises NotInRangeError
-    when f is orthogonal to the range and no progress is possible.
+    A map with a preconditioner is solved on the dual system
+    A A* y = f, u = A* y, by preconditioned conjugate gradients (Craig's
+    method, report.method "craig"); any other map by conjugate gradients
+    on the weighted normal equations (CGLS form, "cgls").  Either way
+    every iterate lies in the range of the adjoint, hence orthogonal to
+    ker A, and the solve stops once |f - A u|_T <= tol |f|_T.  With CGLS
+    the target-norm residual is minimized over growing Krylov spaces, so
+    it is nonincreasing; when f has a component outside the numerical
+    range the residual stalls at its size (the projection happens
+    implicitly) and the report says so.  The last iterate is returned
+    with its own residual; residual_history keeps the best residual so
+    far, one entry per iteration.  Raises NotInRangeError when f is
+    orthogonal to the range and no progress is possible.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if maxiter is None:
         maxiter = 10 * math.prod(A.source_shape)
+    method, solve = ("cgls", _cgls) if A.preconditioner is None else ("craig", _craig)
     dtype = complex if np.iscomplexobj(f) else float
-    u = np.zeros(A.source_shape, dtype=dtype)
-    r = f.astype(dtype, copy=True)
-    delta0 = A.dot_target(r, r)
-    history: list[float] = []
+    f = f.astype(dtype, copy=False)
+    delta0 = A.dot_target(f, f)
     if delta0 == 0.0:
-        return u, SolveReport(0, 0.0, residual_history=history)
+        return np.zeros(A.source_shape, dtype=dtype), SolveReport(0, 0.0, method)
+    progress = _Progress(delta0)
+    u, k, delta, reason, matvecs = solve(A, f, tol, maxiter, progress)
+
+    rel = float(np.sqrt(delta / delta0))
+    if reason in ("stagnated", "breakdown") and rel > 1.0 - 1e-6:
+        raise NotInRangeError(
+            f"right-hand side orthogonal to the operator range (residual stayed at {rel:.3e})")
+    report = SolveReport(
+        iterations=k,
+        relative_residual=rel,
+        method=method,
+        matvecs=matvecs,
+        converged=rel <= tol,
+        reason=reason,
+        residual_history=progress.history,
+    )
+    return u, report
+
+
+def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Progress):
+    """CGLS iteration; returns (u, iterations, squared residual, stop
+    reason, matvecs)."""
+    delta0 = progress.delta0
+    u = np.zeros(A.source_shape, dtype=f.dtype)
+    r = f.copy()
     s = A.adjoint(r)
+    matvecs = 1
     gamma = A.dot_source(s, s)
     p = s.copy()
-    delta = best_delta = delta0
-    since_improve = 0
+    delta = delta0
     k = 0
     reason = "maxiter"
     while k < maxiter:
@@ -212,34 +302,87 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         k += 1
         if k % RECOMPUTE_EVERY == 0:
             r = f - A.apply(u)
+            matvecs += 1
         else:
             r -= alpha * q
         s = A.adjoint(r)
+        matvecs += 2
         gamma_new = A.dot_source(s, s)
         delta = A.dot_target(r, r)
-        if delta < best_delta:
-            best_delta = delta
-            since_improve = 0
-        else:
-            since_improve += 1
-        history.append(float(np.sqrt(best_delta / delta0)))
-        if since_improve >= STALL_WINDOW:
+        if progress.stalled(delta):
             reason = "stagnated"
             break
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     else:
         reason = "converged" if delta <= tol * tol * delta0 else "maxiter"
+    return u, k, delta, reason, matvecs
 
-    rel = float(np.sqrt(delta / delta0))
-    if reason in ("stagnated", "breakdown") and rel > 1.0 - 1e-6:
-        raise NotInRangeError(
-            f"right-hand side orthogonal to the operator range (residual stayed at {rel:.3e})")
-    report = SolveReport(
-        iterations=k,
-        relative_residual=rel,
-        converged=rel <= tol,
-        reason=reason,
-        residual_history=history,
-    )
-    return u, report
+
+def _craig(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Progress):
+    """Preconditioned conjugate gradients on A A* y = f in the target inner
+    product, carrying u = A* y instead of y.  The residual f - A u is
+    updated by recurrence and recomputed every RECOMPUTE_EVERY iterations;
+    a recurrence that passes the stopping test is confirmed on the
+    recomputed residual, from which the iteration restarts if it does
+    not pass.  Returns what _cgls returns, with the squared residual of
+    the returned u recomputed."""
+    delta0 = progress.delta0
+    u = np.zeros(A.source_shape, dtype=f.dtype)
+    r = f.copy()
+    delta = delta0
+    fresh = True  # r was computed as f - A u, not by recurrence
+    matvecs = 0
+    k = 0
+    p = rho = None
+    reason = "maxiter"
+    while True:
+        if delta <= tol * tol * delta0:
+            if fresh:
+                reason = "converged"
+                break
+            r = f - A.apply(u)
+            matvecs += 1
+            delta = A.dot_target(r, r)
+            fresh = True
+            p = None
+            continue
+        if k >= maxiter:
+            break
+        z = A.preconditioner(r)
+        rho_new = A.dot_target(r, z)
+        if rho_new <= 0.0:
+            reason = "breakdown" if k == 0 else "stagnated"
+            break
+        if p is None:
+            p = z
+        else:
+            p *= rho_new / rho
+            p += z
+        rho = rho_new
+        s = A.adjoint(p)
+        ss = A.dot_source(s, s)  # <p, A A* p>_T
+        if ss <= 0.0:
+            reason = "breakdown" if k == 0 else "stagnated"
+            break
+        alpha = rho / ss
+        k += 1
+        fresh = k % RECOMPUTE_EVERY == 0
+        q = None if fresh else A.apply(s)
+        s *= alpha
+        u += s
+        if fresh:
+            r = f - A.apply(u)
+        else:
+            q *= alpha
+            r -= q
+        matvecs += 2
+        delta = A.dot_target(r, r)
+        if progress.stalled(delta):
+            reason = "stagnated"
+            break
+    if not fresh:
+        r = f - A.apply(u)
+        matvecs += 1
+        delta = A.dot_target(r, r)
+    return u, k, delta, reason, matvecs

@@ -184,9 +184,7 @@ def _solve_real11(f: ComplexForm, weight: Weight, grid: Grid, tol: float,
     """The three stages for a real (1,1) form f; the caller has tested
     its realness."""
     norm_f2 = _report_norm2(f, weight, grid)
-    g = bridge.real11_to_real2(f, require_real=False)
-    v, rep_p = solve_poincare(g, weight, grid, tol=tol, maxiter=maxiter)
-    v10, v01 = bridge.split_1form(v)
+    v01, rep_p, type_residuals = _poincare_split(f, norm_f2, weight, grid, tol, maxiter)
     # v^{0,1} is dbar-closed only up to the residual of the Poincare stage
     w, rep_d = solve_dbar(v01, weight, grid, tol=tol, maxiter=maxiter,
                           check_closed=False)
@@ -198,13 +196,23 @@ def _solve_real11(f: ComplexForm, weight: Weight, grid: Grid, tol: float,
     report.stage_dbar = rep_d
     report.norm_v2 = rep_p.solution_norm2
     report.norm_w2 = rep_d.solution_norm2
-    # bookkeeping of the pure-type parts of dv: both vanish with dv - f
-    scale = math.sqrt(norm_f2) if norm_f2 else 1.0
-    report.type_residual_20 = math.sqrt(
-        _report_norm2(calculus.partial(v10), weight, grid)) / scale
-    report.type_residual_02 = math.sqrt(
-        _report_norm2(calculus.dbar(v01), weight, grid)) / scale
+    report.type_residual_20, report.type_residual_02 = type_residuals
     return u, report
+
+
+def _poincare_split(f: ComplexForm, norm_f2: float, weight: Weight, grid: Grid,
+                    tol: float, maxiter: int | None):
+    """The d-stage for a real (1,1) form f and the (0,1) part of its
+    solution v; also returns the stage report and the relative norms of
+    the pure-type parts of dv, which vanish with dv - f.  The forms of
+    this stage are released before the dbar stage runs."""
+    g = bridge.real11_to_real2(f, require_real=False)
+    v, rep_p = solve_poincare(g, weight, grid, tol=tol, maxiter=maxiter)
+    v10, v01 = bridge.split_1form(v)
+    scale = math.sqrt(norm_f2) if norm_f2 else 1.0
+    type_residuals = tuple(math.sqrt(_report_norm2(form, weight, grid)) / scale
+                           for form in (calculus.partial(v10), calculus.dbar(v01)))
+    return v01, rep_p, type_residuals
 
 
 def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,

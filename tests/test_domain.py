@@ -116,6 +116,27 @@ def test_weight_validation():
         pl.Weight.quadratic(-np.eye(2))  # negative
 
 
+def test_ball_dim_follows_center():
+    assert pl.Domain.ball(1.0).dim == 2
+    assert pl.Domain.ball(1.0, dim=4).center == (0.0,) * 4
+    assert pl.Domain.ball(1.0, center=(0.5, 0.0, 0.0)).dim == 3
+    assert pl.Domain.ball(1.0, center=(0.0, 0.0, 0.0, 0.0), dim=4).dim == 4
+    with pytest.raises(ValidationError):
+        pl.Domain.ball(1.0, center=(0.0, 0.0), dim=4)
+
+
+@pytest.mark.parametrize("dim,h", [(2, 1 / 16), (4, 1 / 4)])
+def test_quadratic_phi_matches_einsum(dim, h, rng):
+    a = rng.standard_normal((dim, dim))
+    a = a @ a.T
+    grid = pl.build_grid(pl.Domain.ball(1.0, center=(0.3,) * dim), h)
+    phi = pl.Weight.quadratic(a).phi
+    for points in (grid.coords, grid.compact(grid.coords, grid.mask_eq)):
+        expected = np.einsum("i...,ij,j...->...", points, a, points)
+        assert phi(points).shape == expected.shape
+        assert np.abs(phi(points) - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 def test_boundary_quadrature_circle_four_nodes():
     quad4 = pl.boundary_quadrature(pl.Domain.ball(1.0), 4)
     angles = np.arctan2(quad4.nodes[1], quad4.nodes[0]) % (2 * np.pi)

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pellel as pl
 from pellel import calculus as calc
+from pellel import minnorm
 from pellel.errors import NotInRangeError
 from pellel.forms import n_complex_coeffs
 from pellel.minnorm import solve_min_norm, weighted_first_order_map
+from pellel.multigrid import ParityMultigrid
 from pellel.multiindex import num_indices
 
 
@@ -200,3 +204,103 @@ def test_compact_map_matches_box_stencils(dim, h, pad, rng):
         got[:, grid.mask_eq] = A.apply(u)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert A.check_adjoint(rng, complex_valued=dtype is complex) <= 1e-12
+
+
+def _dual_cases():
+    """(grid, weight, terms, n_in, dtype) of one-component maps: d on
+    1-forms and dbar in C^1 on the disk, on an ellipse with a tilted
+    weight and on a grid whose equation mask meets the box faces, and the
+    top-degree d in R^4."""
+    disk = pl.build_grid(pl.Domain.ball(1.0), 1 / 16)
+    ellipse = pl.build_grid(pl.Domain.ellipsoid((1.0, 0.6)), 1 / 16)
+    tilted = pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
+    faces = pl.build_grid(pl.Domain.ball(1.0), 1 / 8, pad=0)
+    ball4 = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    d1 = (calc.d_terms(2, 1), 2, float)
+    dbar1 = (calc.complex_terms(1, (0, 0), True), 1, complex)
+    return {
+        "disk-d": (disk, pl.Weight.abs2(2)) + d1,
+        "disk-dbar": (disk, pl.Weight.abs2(2)) + dbar1,
+        "ellipse-d": (ellipse, tilted) + d1,
+        "ellipse-dbar": (ellipse, tilted) + dbar1,
+        "faces-d": (faces, pl.Weight.abs2(2)) + d1,
+        "faces-dbar": (faces, pl.Weight.abs2(2)) + dbar1,
+        "ball4-d-top": (ball4, pl.Weight.abs2(4), calc.d_terms(4, 3), 4, float),
+    }
+
+
+_DUAL_CASES = _dual_cases()
+
+
+def _dual_map(case):
+    grid, weight, terms, n_in, dtype = _DUAL_CASES[case]
+    return weighted_first_order_map(grid, weight, terms, n_in, 1,
+                                    grid.mask_eq, grid.mask_dof, dtype=dtype)
+
+
+def _random_target(A, rng, dtype):
+    f = rng.standard_normal(A.target_shape)
+    if dtype is complex:
+        f = f + 1j * rng.standard_normal(A.target_shape)
+    return f
+
+
+@pytest.mark.parametrize("case", list(_DUAL_CASES))
+def test_dual_solve_matches_cgls(case, rng):
+    if case.startswith("faces"):
+        assert _touches_face(_DUAL_CASES[case][0].mask_eq)
+    A = _dual_map(case)
+    assert A.preconditioner is not None
+    f = _random_target(A, rng, _DUAL_CASES[case][4])
+    tol = 1e-11
+    u, rep = solve_min_norm(A, f, tol=tol)
+    u_ref, rep_ref = solve_min_norm(dataclasses.replace(A, preconditioner=None), f, tol=tol)
+    assert (rep.method, rep_ref.method) == ("craig", "cgls")
+    assert rep.converged and rep.relative_residual <= tol
+    r = f - A.apply(u)
+    assert rep.relative_residual == pytest.approx(
+        np.sqrt(A.dot_target(r, r) / A.dot_target(f, f)), rel=1e-6)
+    diff = u - u_ref
+    assert np.sqrt(A.dot_source(diff, diff) / A.dot_source(u_ref, u_ref)) <= 1e-8
+    assert len(rep.residual_history) == rep.iterations
+    assert rep.matvecs == 2 * rep.iterations + 1
+    assert rep.iterations < rep_ref.iterations
+
+
+@pytest.mark.parametrize("case", ["disk-d", "disk-dbar", "faces-dbar", "ball4-d-top"])
+def test_preconditioner_symmetric_positive(case, rng):
+    A = _dual_map(case)
+    dtype = _DUAL_CASES[case][4]
+    for _ in range(5):
+        x, y = _random_target(A, rng, dtype), _random_target(A, rng, dtype)
+        xmy = A.dot_target(x, A.preconditioner(y))
+        assert abs(xmy - A.dot_target(A.preconditioner(x), y)) <= 1e-12 * abs(xmy)
+        assert A.dot_target(x, A.preconditioner(x)) > 0.0
+
+
+def test_cgls_keeps_maps_with_several_equation_components(disk_grid_coarse, gauss2, rng):
+    assert d_map(disk_grid_coarse, gauss2, 0).preconditioner is None
+    A, _ = _not_closed_dbar_case()
+    assert A.preconditioner is None
+    _, rep = solve_min_norm(A, A.apply(rng.standard_normal(A.source_shape) + 0j), tol=1e-10)
+    assert rep.method == "cgls"
+    assert rep.matvecs == 1 + 2 * rep.iterations + rep.iterations // minnorm.RECOMPUTE_EVERY
+
+
+def test_multigrid_built_on_first_solve(monkeypatch, disk_grid_coarse, gauss2):
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ParityMultigrid(*args)
+
+    monkeypatch.setattr(minnorm, "ParityMultigrid", counting)
+    grid = disk_grid_coarse
+    alpha = pl.RealForm.from_components(grid, 2, {(1, 2): lambda x: x[0] ** 2})
+    calc.t_star_discrete(alpha, gauss2, grid.mask_eq)
+    A = d_map(grid, gauss2, 1)
+    assert built == []
+    f = grid.compact(alpha.coeffs, grid.mask_eq)
+    solve_min_norm(A, f)
+    solve_min_norm(A, 2.0 * f)
+    assert len(built) == 1

@@ -7,6 +7,7 @@ import pellel as pl
 from pellel import calculus as calc
 from pellel import pipeline
 from pellel.errors import ValidationError
+from pellel.minnorm import RECOMPUTE_EVERY
 
 
 def test_poincare_zero_rhs(disk_grid_coarse, gauss2):
@@ -207,6 +208,27 @@ def test_report_serializes(disk_grid_coarse, gauss2):
         assert dumped[stage]["c"] == rep.c
         assert dumped[stage]["residual_history"] == getattr(rep, stage).residual_history
         assert len(dumped[stage]["residual_history"]) == getattr(rep, stage).iterations
+        # one-component stages run the preconditioned dual solve
+        assert dumped[stage]["method"] == "craig"
+        assert dumped[stage]["matvecs"] == 2 * getattr(rep, stage).iterations + 1
+
+
+def test_c2_stages_run_cgls():
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    _, rep = pl.solve_poincare_lelong(pl.standard_11_form(grid), pl.Weight.abs2(4), grid)
+    for stage in (rep.stage_poincare, rep.stage_dbar):
+        assert stage.method == "cgls"
+        assert stage.matvecs == 1 + 2 * stage.iterations + stage.iterations // RECOMPUTE_EVERY
+
+
+@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+def test_2d_stage_iterations_flat_in_h(h):
+    # CGLS takes 94/110 iterations at h = 1/32 and 172/211 at h = 1/64
+    grid = pl.build_grid(pl.Domain.ball(1.0), h)
+    _, rep = pl.solve_poincare_lelong(pl.standard_11_form(grid), pl.Weight.abs2(2), grid)
+    for stage in (rep.stage_poincare, rep.stage_dbar):
+        assert stage.converged
+        assert stage.iterations <= 40
 
 
 def test_corollary_constant_formula(disk, disk_grid_coarse):
