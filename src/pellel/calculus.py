@@ -254,28 +254,26 @@ def t_star_discrete(alpha: RealForm, weight: Weight, mask: np.ndarray | None = N
     return RealForm(grid, p, grid.expand(A.adjoint(grid.compact(alpha.coeffs, mask)), dof))
 
 
+def _complex_derivative(u: ComplexForm, bar: bool) -> ComplexForm:
+    """dbar u when bar is set, partial u otherwise."""
+    key = (tuple(u.bidegree), bar)
+    if key not in _RAISED:
+        raise ValidationError(
+            f"{'dbar' if bar else 'partial'} does not support bidegree {u.bidegree}")
+    out_bd = _RAISED[key]
+    coeffs = apply_terms(complex_terms(u.n, key[0], bar), u.coeffs,
+                         n_complex_coeffs(u.n, out_bd), u.grid.h, dtype=complex)
+    return ComplexForm(u.grid, out_bd, coeffs)
+
+
 def dbar(u: ComplexForm) -> ComplexForm:
     """Antiholomorphic first-order operator on (0,0), (1,0), (0,1) forms."""
-    key = (tuple(u.bidegree), True)
-    if key not in _RAISED:
-        raise ValidationError(f"dbar does not support bidegree {u.bidegree}")
-    out_bd = _RAISED[key]
-    n = u.n
-    coeffs = apply_terms(complex_terms(n, tuple(u.bidegree), True), u.coeffs,
-                         n_complex_coeffs(n, out_bd), u.grid.h, dtype=complex)
-    return ComplexForm(u.grid, out_bd, coeffs)
+    return _complex_derivative(u, True)
 
 
 def partial(u: ComplexForm) -> ComplexForm:
     """Holomorphic first-order operator on (0,0), (0,1), (1,0) forms."""
-    key = (tuple(u.bidegree), False)
-    if key not in _RAISED:
-        raise ValidationError(f"partial does not support bidegree {u.bidegree}")
-    out_bd = _RAISED[key]
-    n = u.n
-    coeffs = apply_terms(complex_terms(n, tuple(u.bidegree), False), u.coeffs,
-                         n_complex_coeffs(n, out_bd), u.grid.h, dtype=complex)
-    return ComplexForm(u.grid, out_bd, coeffs)
+    return _complex_derivative(u, False)
 
 
 def conj_form(f: ComplexForm) -> ComplexForm:

@@ -99,7 +99,8 @@ class Domain:
 
 @dataclass(frozen=True)
 class Weight:
-    """Smooth convex weight phi with analytic gradient and Hessian."""
+    """Smooth convex weight phi with analytic gradient and Hessian; matrix
+    is A for phi = x^T A x and None for a custom weight."""
 
     kind: str
     phi: Callable[[np.ndarray], np.ndarray]
@@ -250,10 +251,13 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
 
 def estimate_c(weight: Weight, domain: Domain, grid: Grid) -> float:
     """Convexity constant of the weight on G: the minimum over interior
-    nodes of the smallest Hessian eigenvalue.  Rejects nonconvex weights."""
-    pts = grid.compact(grid.coords, grid.interior)
-    hess = weight.hess(pts)
-    eig = np.linalg.eigvalsh(np.moveaxis(hess, (0, 1), (-2, -1)))
+    nodes of the smallest Hessian eigenvalue, taken once from the constant
+    Hessian 2 A of a quadratic weight.  Rejects nonconvex weights."""
+    if weight.matrix is not None:
+        eig = np.linalg.eigvalsh(2.0 * weight.matrix)
+    else:
+        hess = weight.hess(grid.compact(grid.coords, grid.interior))
+        eig = np.linalg.eigvalsh(np.moveaxis(hess, (0, 1), (-2, -1)))
     c = float(eig.min())
     if c <= 0:
         raise ValidationError(f"weight is not uniformly convex on G (min eigenvalue {c})")

@@ -19,7 +19,7 @@ import numpy as np
 from .domain import BoundaryQuadrature, Domain, Grid, Weight, estimate_c
 from .errors import ValidationError
 from .multiindex import (MultiIndex, increasing_indices, index_positions,
-                         sort_signature)
+                         remove, sort_signature)
 
 
 class Poly:
@@ -186,42 +186,60 @@ def tangential_1form(domain: Domain, g: Poly | float = 1.0) -> PolyForm:
 # identity checks
 # ---------------------------------------------------------------------------
 
+def _jet(alpha: PolyForm, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First-order jet of a polynomial p-form at points, with each nonzero
+    component and each of its N first derivatives evaluated once.
+
+    Returns a[I, j] = a_{jI} and da[I, j, k] = d a_{jI}/dx_k (j, k
+    0-based), I running over the increasing (p-1)-indices in lexicographic
+    order.  a_{jI} carries the sign of sort_signature((j,) + I) and is 0
+    when j occurs in I.
+    """
+    n = alpha.nvars
+    pos = index_positions(n, alpha.degree - 1)
+    a = np.zeros((len(pos), n) + points.shape[1:])
+    da = np.zeros((len(pos), n, n) + points.shape[1:])
+    for J, poly in alpha.comps.items():
+        val = poly(points)
+        grad = np.stack([poly.deriv(k)(points) for k in range(1, n + 1)])
+        for j in J:
+            I, sign = remove(J, j)
+            a[pos[I], j - 1] = sign * val
+            da[pos[I], j - 1] = sign * grad
+    return a, da
+
+
+def _gradient_sum(da: np.ndarray, degree: int) -> np.ndarray:
+    """sum_J |grad a_J|^2 over increasing p-indices J; the jet holds each
+    component once per entry of J."""
+    return np.sum(da ** 2, axis=(0, 1, 2)) / degree
+
+
+def _hessian_form(hess: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_{j,k} hess[j, k] a_{jI} a_{kI} for each I."""
+    return np.einsum("jk...,ij...,ik...->i...", hess, a, a)
+
+
+def _normal_component(a: np.ndarray, grad_rho: np.ndarray) -> np.ndarray:
+    """sum_j a_{jI} d rho/dx_j for each I."""
+    return np.einsum("ij...,j...->i...", a, grad_rho)
+
+
 def check_dalpha_identity(alpha: PolyForm, points: np.ndarray) -> float:
     """Max pointwise deviation of |d a|^2 from the gradient double sum
     minus the crossed-derivative double sum."""
-    n = alpha.nvars
-    dalpha = alpha.d()
-    lhs = np.sum(dalpha.eval(points) ** 2, axis=0)
-    rhs = np.zeros(points.shape[1:])
-    for idx, poly in alpha.comps.items():
-        for j in range(1, n + 1):
-            rhs += poly.deriv(j)(points) ** 2
-    for I in increasing_indices(n, alpha.degree - 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                a_kI = alpha.component((k,) + tuple(I))
-                a_jI = alpha.component((j,) + tuple(I))
-                if a_kI.is_zero or a_jI.is_zero:
-                    continue
-                rhs -= a_kI.deriv(j)(points) * a_jI.deriv(k)(points)
-    return float(np.abs(lhs - rhs).max())
+    lhs = np.sum(alpha.d().eval(points) ** 2, axis=0)
+    _, da = _jet(alpha, points)
+    cross = np.einsum("ijk...,ikj...->...", da, da)
+    return float(np.abs(lhs - (_gradient_sum(da, alpha.degree) - cross)).max())
 
 
 def boundary_condition_violation(alpha: PolyForm, domain: Domain,
                                  quad: BoundaryQuadrature) -> float:
     """Max over boundary nodes and indices I of |sum_j a_{jI} d rho/dx_j|,
     the quantity that must vanish for membership in the adjoint domain."""
-    n = alpha.nvars
-    grad = domain.grad_rho(quad.nodes)
-    worst = 0.0
-    for I in increasing_indices(n, alpha.degree - 1):
-        acc = np.zeros(quad.nodes.shape[1])
-        for j in range(1, n + 1):
-            a_jI = alpha.component((j,) + tuple(I))
-            if not a_jI.is_zero:
-                acc += a_jI(quad.nodes) * grad[j - 1]
-        worst = max(worst, float(np.abs(acc).max()))
-    return worst
+    a, _ = _jet(alpha, quad.nodes)
+    return float(np.abs(_normal_component(a, domain.grad_rho(quad.nodes))).max())
 
 
 def check_boundary_identity(alpha: PolyForm, domain: Domain,
@@ -233,27 +251,16 @@ def check_boundary_identity(alpha: PolyForm, domain: Domain,
         sum_{j,k} a_{kI} (d a_{jI}/dx_k) (d rho/dx_j)
             = - sum_{j,k} a_{jI} a_{kI} d2 rho/dx_j dx_k.
     """
-    n = alpha.nvars
-    scale = max(float(np.abs(alpha.eval(quad.nodes)).max()), 1e-300)
-    violation = boundary_condition_violation(alpha, domain, quad)
+    a, da = _jet(alpha, quad.nodes)
+    grad = domain.grad_rho(quad.nodes)
+    scale = max(float(np.abs(a).max()), 1e-300)
+    violation = float(np.abs(_normal_component(a, grad)).max())
     if violation > pre_tol * scale:
         raise ValidationError(
             f"form violates the adjoint-domain boundary condition: {violation:.3e}")
-    grad = domain.grad_rho(quad.nodes)
-    hess = domain.hess_rho(quad.nodes)
-    worst = 0.0
-    for I in increasing_indices(n, alpha.degree - 1):
-        comp = [alpha.component((j,) + tuple(I)) for j in range(1, n + 1)]
-        vals = [c(quad.nodes) for c in comp]
-        lhs = np.zeros(quad.nodes.shape[1])
-        rhs = np.zeros(quad.nodes.shape[1])
-        for j in range(n):
-            for k in range(n):
-                if not comp[j].is_zero:
-                    lhs += vals[k] * comp[j].deriv(k + 1)(quad.nodes) * grad[j]
-                rhs -= vals[j] * vals[k] * hess[j, k]
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+    lhs = np.einsum("ik...,ijk...,j...->i...", a, da, grad)
+    rhs = -_hessian_form(domain.hess_rho(quad.nodes), a)
+    return float(np.abs(lhs - rhs).max())
 
 
 @dataclass
@@ -269,20 +276,16 @@ def _interior_quadrature(grid: Grid, weight: Weight):
     return pts, w
 
 
+def _t_star(a: np.ndarray, da: np.ndarray, gradphi: np.ndarray) -> np.ndarray:
+    """A_I = -sum_j (d a_{jI}/dx_j - phi_j a_{jI}) from a jet."""
+    return np.einsum("j...,ij...->i...", gradphi, a) - np.einsum("ijj...->i...", da)
+
+
 def t_star_pointwise(alpha: PolyForm, weight: Weight, points: np.ndarray) -> np.ndarray:
     """Formal weighted codifferential of a polynomial form, evaluated
     exactly at points: A_I = -sum_j (d a_{jI}/dx_j - phi_j a_{jI})."""
-    n = alpha.nvars
-    gradphi = weight.grad(points)
-    idxs = increasing_indices(n, alpha.degree - 1)
-    out = np.zeros((len(idxs),) + points.shape[1:])
-    for pos, I in enumerate(idxs):
-        for j in range(1, n + 1):
-            a_jI = alpha.component((j,) + tuple(I))
-            if a_jI.is_zero:
-                continue
-            out[pos] -= a_jI.deriv(j)(points) - gradphi[j - 1] * a_jI(points)
-    return out
+    a, da = _jet(alpha, points)
+    return _t_star(a, da, weight.grad(points))
 
 
 def check_bochner_identity(alpha: PolyForm, weight: Weight, domain: Domain,
@@ -293,38 +296,20 @@ def check_bochner_identity(alpha: PolyForm, weight: Weight, domain: Domain,
                              + int sum |grad a_J|^2 e^-phi
                              + boundary Hessian(rho)[a, a] term,
 
-    with every integral evaluated by quadrature.  Returns a BochnerResult
-    with the two sides and their absolute deviation.
+    with every integral evaluated by quadrature.  |d a|^2 comes from the
+    exact alpha.d(), the other terms from one jet per point set.  Returns
+    a BochnerResult with the two sides and their absolute deviation.
     """
-    n = alpha.nvars
     pts, w = _interior_quadrature(grid, weight)
-    tsa = t_star_pointwise(alpha, weight, pts)
-    lhs1 = float(np.sum(tsa ** 2 * w))
-    da = alpha.d().eval(pts)
-    lhs2 = float(np.sum(da ** 2 * w)) if da.size else 0.0
-    hessphi = weight.hess(pts)
-    term_hess = np.zeros(pts.shape[1])
-    for I in increasing_indices(n, alpha.degree - 1):
-        vals = [alpha.component((j,) + tuple(I))(pts) for j in range(1, n + 1)]
-        for j in range(n):
-            for k in range(n):
-                term_hess += hessphi[j, k] * vals[j] * vals[k]
-    rhs1 = float(np.sum(term_hess * w))
-    term_grad = np.zeros(pts.shape[1])
-    for idx, poly in alpha.comps.items():
-        for j in range(1, n + 1):
-            term_grad += poly.deriv(j)(pts) ** 2
-    rhs2 = float(np.sum(term_grad * w))
+    a, da = _jet(alpha, pts)
+    lhs1 = float(np.sum(_t_star(a, da, weight.grad(pts)) ** 2 * w))
+    lhs2 = float(np.sum(alpha.d().eval(pts) ** 2 * w))
+    rhs1 = float(np.sum(_hessian_form(weight.hess(pts), a) * w))
+    rhs2 = float(np.sum(_gradient_sum(da, alpha.degree) * w))
     bpts = quad.nodes
     bw = quad.weights * np.exp(-weight.phi(bpts))
-    hessrho = domain.hess_rho(bpts)
-    bterm = np.zeros(bpts.shape[1])
-    for I in increasing_indices(n, alpha.degree - 1):
-        vals = [alpha.component((j,) + tuple(I))(bpts) for j in range(1, n + 1)]
-        for j in range(n):
-            for k in range(n):
-                bterm += vals[j] * vals[k] * hessrho[j, k]
-    rhs3 = float(np.sum(bterm * bw))
+    b, _ = _jet(alpha, bpts)
+    rhs3 = float(np.sum(_hessian_form(domain.hess_rho(bpts), b) * bw))
     lhs = lhs1 + lhs2
     rhs = rhs1 + rhs2 + rhs3
     return BochnerResult(lhs, rhs, abs(lhs - rhs))

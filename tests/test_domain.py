@@ -95,6 +95,27 @@ def test_estimate_c_quartic_matches_scan_oracle(disk, disk_grid_coarse):
     assert c >= 2.0 - 1e-12
 
 
+@pytest.mark.parametrize("w", [pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])])
+def test_estimate_c_constant_hessian_matches_node_scan(disk, disk_grid_coarse, w):
+    per_node = pl.Weight.custom(w.phi, w.grad, w.hess)  # no matrix: scans the nodes
+    assert pl.estimate_c(w, disk, disk_grid_coarse) == pl.estimate_c(
+        per_node, disk, disk_grid_coarse)
+
+
+def test_estimate_c_quadratic_skips_node_hessians(disk, disk_grid_coarse):
+    w = pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
+    shapes = []
+
+    def counting_hess(points):
+        shapes.append(np.shape(points))
+        return w.hess(points)
+
+    counted = pl.Weight("quadratic", w.phi, w.grad, counting_hess, matrix=w.matrix)
+    assert pl.estimate_c(counted, disk, disk_grid_coarse) == pl.estimate_c(
+        w, disk, disk_grid_coarse)
+    assert shapes == []
+
+
 def test_estimate_c_rejects_nonconvex(disk, disk_grid_coarse):
     with pytest.raises(ValidationError):
         pl.estimate_c(pl.Weight.zero(2), disk, disk_grid_coarse)

@@ -4,6 +4,7 @@ import pytest
 import pellel as pl
 from pellel import verify as V
 from pellel.errors import ValidationError
+from pellel.multiindex import increasing_indices
 
 
 def test_poly_basics():
@@ -14,7 +15,7 @@ def test_poly_basics():
     assert np.allclose(p(pts), [1 * 1 * 0.5 + 1.5, 4 * (-1) - 3])
     dp = p.deriv(1)
     assert np.allclose(dp(pts), [2 * 1 * 0.5, 2 * 2 * (-1)])
-    assert p.deriv(2).deriv(2).is_zero is False or True
+    assert p.deriv(2).deriv(2).is_zero
 
 
 def test_polyform_d_and_signed_access():
@@ -157,3 +158,94 @@ def test_checks_deterministic(disk):
     a2 = V.random_polyform(rng2, 2, 1)
     pts = np.random.default_rng(0).uniform(-1, 1, (2, 10))
     assert np.array_equal(a1.eval(pts), a2.eval(pts))
+
+
+# --- reference formulas as plain loops over (I, j, k) and component() -----
+
+def _close(value, oracle):
+    scale = max(float(np.abs(oracle).max()), 1e-300)
+    assert float(np.abs(np.asarray(value) - oracle).max()) <= 1e-12 * scale
+
+
+def _loop_t_star(alpha, gradphi, pts):
+    n = alpha.nvars
+    idxs = increasing_indices(n, alpha.degree - 1)
+    out = np.zeros((len(idxs),) + pts.shape[1:])
+    for pos, I in enumerate(idxs):
+        for j in range(1, n + 1):
+            a_jI = alpha.component((j,) + tuple(I))
+            out[pos] -= a_jI.deriv(j)(pts) - gradphi[j - 1] * a_jI(pts)
+    return out
+
+
+def _loop_violation(alpha, grad_rho, pts):
+    n = alpha.nvars
+    worst = 0.0
+    for I in increasing_indices(n, alpha.degree - 1):
+        acc = sum(alpha.component((j,) + tuple(I))(pts) * grad_rho[j - 1]
+                  for j in range(1, n + 1))
+        worst = max(worst, float(np.abs(acc).max()))
+    return worst
+
+
+def _loop_gradient_and_cross(alpha, pts):
+    n = alpha.nvars
+    grad = sum(poly.deriv(j)(pts) ** 2
+               for poly in alpha.comps.values() for j in range(1, n + 1))
+    cross = np.zeros(pts.shape[1:])
+    for I in increasing_indices(n, alpha.degree - 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                a_kI = alpha.component((k,) + tuple(I))
+                a_jI = alpha.component((j,) + tuple(I))
+                cross += a_kI.deriv(j)(pts) * a_jI.deriv(k)(pts)
+    return grad, cross
+
+
+def _loop_hessian_form(alpha, hess, pts):
+    n = alpha.nvars
+    out = []
+    for I in increasing_indices(n, alpha.degree - 1):
+        vals = [alpha.component((j,) + tuple(I))(pts) for j in range(1, n + 1)]
+        out.append(sum(hess[j, k] * vals[j] * vals[k]
+                       for j in range(n) for k in range(n)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_jet_contractions_match_loop_oracle(rng, nvars):
+    pts = rng.uniform(-1, 1, (nvars, 40))
+    m = rng.normal(size=(nvars, nvars))
+    weight = pl.Weight.quadratic(m @ m.T + np.eye(nvars))
+    domain = pl.Domain.ellipsoid(tuple(rng.uniform(0.5, 2.0, nvars)))
+    grad_rho = domain.grad_rho(pts)
+    quad = pl.BoundaryQuadrature(pts, np.ones(pts.shape[1]), np.ones(pts.shape[1]))
+    for degree in range(1, nvars + 1):
+        for _ in range(3):
+            alpha = V.random_polyform(rng, nvars, degree)
+            a, da = V._jet(alpha, pts)
+            _close(V.t_star_pointwise(alpha, weight, pts),
+                   _loop_t_star(alpha, weight.grad(pts), pts))
+            _close(V.boundary_condition_violation(alpha, domain, quad),
+                   _loop_violation(alpha, grad_rho, pts))
+            grad, cross = _loop_gradient_and_cross(alpha, pts)
+            _close(V._gradient_sum(da, degree), grad)
+            _close(np.einsum("ijk...,ikj...->...", da, da), cross)
+            for hess in (weight.hess(pts), domain.hess_rho(pts)):
+                _close(V._hessian_form(hess, a), _loop_hessian_form(alpha, hess, pts))
+
+
+def test_dalpha_identity_evaluates_each_polynomial_once(rng, monkeypatch):
+    nvars = 4
+    alpha = V.random_polyform(rng, nvars, 2)
+    n_da = len(alpha.d().comps)
+    calls = []
+    evaluate = V.Poly.__call__
+
+    def counted(self, points):
+        calls.append(self)
+        return evaluate(self, points)
+
+    monkeypatch.setattr(V.Poly, "__call__", counted)
+    V.check_dalpha_identity(alpha, rng.uniform(-1, 1, (nvars, 20)))
+    assert 0 < len(calls) <= len(alpha.comps) * (nvars + 1) + n_da
