@@ -1,15 +1,14 @@
-"""Conversions between complex (1,1)/(1,0)/(0,1) forms and real forms,
-and the translation of real convexity into a Levi-form lower bound.
+"""Conversions between complex forms and real forms, and the translation
+of real convexity into a Levi-form lower bound.
 
-Complex coordinates are interleaved with the real axes throughout:
-z_j = x_{2j-1} + i x_{2j}, so the real partner axes of complex slot j
-(1-based) are 2j-1 and 2j.  A real (1,1) form f = (A + iB)_{i jbar}
-(A antisymmetric, B symmetric) corresponds to the real 2-form
-
-    2 ( sum_{i<j} A_{i jbar} dx_i^dx_j + sum_{i<j} A_{i jbar} dy_i^dy_j
-        + sum_{i,j} B_{i jbar} dx_i^dy_j ),
-
-which satisfies |2-form|**2 = 4 |(1,1) form|**2 pointwise.
+Every conversion derives from forms.real_expansion, the one definition of
+the complex structure, through two primitives.  A complex (p,q) form goes
+to the real part of its expansion in real (p+q)-forms.  A real form comes
+back through the adjoint of the expansion divided by 2^(p+q), the squared
+norm of every expanded basis form dz_I ^ dzbar_J; the expanded basis is
+orthogonal, so this is the exact (p,q) part.  The same norm gives
+|2-form|**2 = 4 |(1,1) form|**2 pointwise for a real (1,1) form and its
+real 2-form.
 """
 
 from __future__ import annotations
@@ -18,91 +17,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import calculus
 from .domain import Weight
 from .errors import ValidationError
-from .forms import ComplexForm, RealForm
-from .multiindex import MultiIndex, increasing_indices, index_positions
+from .forms import ComplexForm, RealForm, real_expansion, wirtinger_frame
 
 
-def _pair_maps(n: int):
-    """Real increasing-pair positions of the x-x, y-y and x-y blocks.
+def _to_real(*parts: ComplexForm) -> RealForm:
+    """Real part of the expansion of the sum of the parts, which share
+    the total degree p+q."""
+    g = RealForm.zeros(parts[0].grid, sum(parts[0].bidegree))
+    for f in parts:
+        # every entry is real or imaginary: a real multiindex fixes how many
+        # factors i the expansion picks
+        for r, k, e in real_expansion(f.n, f.bidegree):
+            g.coeffs[r] += e.real * f.coeffs[k].real if e.real else -e.imag * f.coeffs[k].imag
+    return g
 
-    Returns (xx, yy, mixed): xx[i,j] and yy[i,j] for complex i<j (0-based),
-    mixed[i][j] = (position, sign) for the real pair of (x_i, y_j).
-    """
-    pos = index_positions(2 * n, 2)
-    xx, yy, mixed = {}, {}, {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            xx[i, j] = pos[MultiIndex((2 * i + 1, 2 * j + 1))]
-            yy[i, j] = pos[MultiIndex((2 * i + 2, 2 * j + 2))]
-    for i in range(n):
-        for j in range(n):
-            a, b = 2 * i + 1, 2 * j + 2  # x_i axis, y_j axis (1-based)
-            if a < b:
-                mixed[i, j] = (pos[MultiIndex((a, b))], 1.0)
-            else:
-                mixed[i, j] = (pos[MultiIndex((b, a))], -1.0)
-    return xx, yy, mixed
+
+def _from_real(g: RealForm, bidegree: tuple[int, int]) -> ComplexForm:
+    """(p,q) part of a real (p+q)-form: the adjoint of the expansion
+    divided by 2^(p+q)."""
+    f = ComplexForm.zeros(g.grid, bidegree)
+    scale = 0.5 ** sum(bidegree)
+    for r, k, e in real_expansion(f.n, bidegree):
+        part = f.coeffs[k].real if e.real else f.coeffs[k].imag
+        part += scale * (e.real or -e.imag) * g.coeffs[r]
+    return f
+
+
+def _asymmetry(f: ComplexForm) -> tuple[float, float]:
+    """Largest |f - conj f| and the scale it is measured against, the
+    largest |f|; f is real to tolerance tol when the first is at most tol
+    times the second."""
+    diff = f.coeffs - calculus.conj_form(f).coeffs
+    return float(np.abs(diff).max()), max(float(np.abs(f.coeffs).max()), 1e-300)
 
 
 def real11_to_real2(f: ComplexForm, require_real: bool = True,
                     tol: float = 1e-10) -> RealForm:
     """Convert a real (1,1) form to the corresponding real 2-form.
 
-    require_real checks A antisymmetric and B symmetric (that is
-    f = conj(f)) and raises with the largest asymmetry otherwise.
+    require_real checks f = conj(f) and raises with the largest asymmetry
+    otherwise; without it a non-real f gives the 2-form of its real part
+    (f + conj f) / 2.
     """
     if tuple(f.bidegree) != (1, 1):
         raise ValidationError("input must be a (1,1) form")
-    n = f.n
-    mat = f.coeffs.reshape((n, n) + f.grid.shape)
-    A, B = mat.real, mat.imag
     if require_real:
-        scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-        asym = max(float(np.abs(A + np.swapaxes(A, 0, 1)).max()),
-                   float(np.abs(B - np.swapaxes(B, 0, 1)).max()))
+        asym, scale = _asymmetry(f)
         if asym > tol * scale:
             raise ValidationError(
                 f"(1,1) form is not real: max asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
-    g = RealForm.zeros(f.grid, 2)
-    xx, yy, mixed = _pair_maps(n)
-    for (i, j), kx in xx.items():
-        g.coeffs[kx] += 2.0 * A[i, j]
-        g.coeffs[yy[i, j]] += 2.0 * A[i, j]
-    for (i, j), (k, sign) in mixed.items():
-        g.coeffs[k] += 2.0 * sign * B[i, j]
-    return g
+    return _to_real(f)
 
 
 def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
     """Inverse conversion; validates that g lies in the image of the real
-    (1,1) forms (x-x and y-y blocks agree, mixed block symmetric)."""
+    (1,1) forms (its (2,0) and (0,2) parts vanish)."""
     if g.degree != 2:
         raise ValidationError("input must be a real 2-form")
     if g.grid.dim % 2:
         raise ValidationError("real dimension must be even")
-    n = g.grid.dim // 2
-    xx, yy, mixed = _pair_maps(n)
-    shape = g.grid.shape
-    A = np.zeros((n, n) + shape)
-    B = np.zeros((n, n) + shape)
-    scale = max(float(np.abs(g.coeffs).max()) if g.coeffs.size else 0.0, 1e-300)
-    worst = 0.0
-    for (i, j), kx in xx.items():
-        vx, vy = g.coeffs[kx], g.coeffs[yy[i, j]]
-        worst = max(worst, float(np.abs(vx - vy).max()))
-        A[i, j] = 0.5 * vx
-        A[j, i] = -A[i, j]
-    for (i, j), (k, sign) in mixed.items():
-        B[i, j] = 0.5 * sign * g.coeffs[k]
-    worst = max(worst, float(np.abs(B - np.swapaxes(B, 0, 1)).max()))
+    f = _from_real(g, (1, 1))
+    scale = max(float(np.abs(g.coeffs).max()), 1e-300)
+    worst = float(np.abs(_to_real(f).coeffs - g.coeffs).max())
     if worst > tol * scale:
         raise ValidationError(
-            f"2-form outside the image of real (1,1) forms: block mismatch {worst:.3e}")
-    B = 0.5 * (B + np.swapaxes(B, 0, 1))
-    coeffs = (A + 1j * B).reshape((n * n,) + shape)
-    return ComplexForm(g.grid, (1, 1), coeffs)
+            f"2-form outside the image of real (1,1) forms: mismatch {worst:.3e}")
+    return f
 
 
 def complex2_to_real2(f20: ComplexForm, f11: ComplexForm, f02: ComplexForm,
@@ -114,20 +97,11 @@ def complex2_to_real2(f20: ComplexForm, f11: ComplexForm, f02: ComplexForm,
     of (holomorphic + antiholomorphic derivative) of its split."""
     if tuple(f20.bidegree) != (2, 0) or tuple(f02.bidegree) != (0, 2):
         raise ValidationError("expected (2,0) and (0,2) forms")
-    n = f20.n
     scale = max(float(np.abs(f20.coeffs).max()) if f20.coeffs.size else 0.0, 1e-300)
     if f20.coeffs.size and float(np.abs(f02.coeffs - f20.coeffs.conj()).max()) > tol * scale:
         raise ValidationError("(0,2) part is not the conjugate of the (2,0) part")
     g = real11_to_real2(f11, require_real=True, tol=tol)
-    if n >= 2:
-        pos = index_positions(2 * n, 2)
-        for q, pair in enumerate(increasing_indices(n, 2)):
-            i, j = pair[0] - 1, pair[1] - 1  # complex slots, 0-based
-            c = f20.coeffs[q]
-            g.coeffs[pos[MultiIndex((2 * i + 1, 2 * j + 1))]] += 2.0 * c.real
-            g.coeffs[pos[MultiIndex((2 * i + 2, 2 * j + 2))]] -= 2.0 * c.real
-            g.coeffs[pos[MultiIndex((2 * i + 1, 2 * j + 2))]] -= 2.0 * c.imag
-            g.coeffs[pos[MultiIndex((2 * i + 2, 2 * j + 1))]] -= 2.0 * c.imag
+    g.coeffs += _to_real(f20, f02).coeffs
     return g
 
 
@@ -141,27 +115,15 @@ def split_1form(v: RealForm) -> tuple[ComplexForm, ComplexForm]:
         raise ValidationError("input must be a real 1-form")
     if v.grid.dim % 2:
         raise ValidationError("real dimension must be even")
-    n = v.grid.dim // 2
-    shape = v.grid.shape
-    c10 = np.empty((n,) + shape, dtype=complex)
-    for j in range(n):
-        c10[j] = 0.5 * v.coeffs[2 * j] - 0.5j * v.coeffs[2 * j + 1]
-    v10 = ComplexForm(v.grid, (1, 0), c10)
-    v01 = ComplexForm(v.grid, (0, 1), c10.conj())
-    return v10, v01
+    v10 = _from_real(v, (1, 0))
+    return v10, ComplexForm(v.grid, (0, 1), v10.coeffs.conj())
 
 
 def join_1form(v10: ComplexForm, v01: ComplexForm) -> RealForm:
     """Reassemble a real 1-form from conjugate (1,0)/(0,1) parts."""
     if tuple(v10.bidegree) != (1, 0) or tuple(v01.bidegree) != (0, 1):
         raise ValidationError("expected a (1,0) and a (0,1) form")
-    n = v10.n
-    out = RealForm.zeros(v10.grid, 1)
-    total = v10.coeffs + v01.coeffs.conj()  # = 2 * v10 for conjugate pairs
-    for j in range(n):
-        out.coeffs[2 * j] = total[j].real
-        out.coeffs[2 * j + 1] = -total[j].imag
-    return out
+    return _to_real(v10, v01)
 
 
 @dataclass(frozen=True)
@@ -177,28 +139,23 @@ class HessianSplit:
 
 
 def complex_hessian(weight: Weight, points: np.ndarray) -> HessianSplit:
-    """Wirtinger second derivatives from the real Hessian (interleaved
-    coordinate pairing)."""
+    """Wirtinger second derivatives from the real Hessian H: W H W^T and
+    W H W^H in the Wirtinger frame W."""
     pts = np.asarray(points, dtype=float)
     if pts.shape[0] % 2:
         raise ValidationError("points must have an even leading dimension")
-    n = pts.shape[0] // 2
+    W = wirtinger_frame(pts.shape[0] // 2)
     H = weight.hess(pts)
-    shape = pts.shape[1:]
-    holo = np.empty((n, n) + shape, dtype=complex)
-    mixed = np.empty((n, n) + shape, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            aj, bj, ak, bk = 2 * j, 2 * j + 1, 2 * k, 2 * k + 1
-            holo[j, k] = 0.25 * ((H[aj, ak] - H[bj, bk]) - 1j * (H[aj, bk] + H[bj, ak]))
-            mixed[j, k] = 0.25 * ((H[aj, ak] + H[bj, bk]) + 1j * (H[aj, bk] - H[bj, ak]))
+    holo = np.einsum("ja,ab...,kb->jk...", W, H, W)
+    mixed = np.einsum("ja,ab...,kb->jk...", W, H, W.conj())
     return HessianSplit(holo, mixed, holo.conj())
 
 
 def hessian_split_identity(weight: Weight, x, xi) -> tuple[float, float]:
     """Both sides of the real-to-complex Hessian splitting at one point:
     xi^T Hess(phi) xi versus the holomorphic + 2 mixed + antiholomorphic
-    quadratic, with omega_j = xi_{2j-1} + i xi_{2j}."""
+    quadratic, with omega_j = dz_j(xi) = 2 (conj(W) xi)_j in the Wirtinger
+    frame W."""
     x = np.asarray(x, dtype=float).reshape(-1, 1)
     xi = np.asarray(xi, dtype=float)
     if x.shape[0] != xi.shape[0] or x.shape[0] % 2:
@@ -206,7 +163,7 @@ def hessian_split_identity(weight: Weight, x, xi) -> tuple[float, float]:
     H = weight.hess(x)[..., 0]
     lhs = float(xi @ H @ xi)
     split = complex_hessian(weight, x)
-    omega = xi[0::2] + 1j * xi[1::2]
+    omega = 2.0 * wirtinger_frame(xi.shape[0] // 2).conj() @ xi
     holo = split.holo[..., 0]
     mixed = split.mixed[..., 0]
     quad_holo = omega @ holo @ omega  # antiholomorphic block contributes its conjugate

@@ -28,9 +28,9 @@ import numpy as np
 
 from .domain import Grid, Weight, _dilate
 from .errors import ValidationError
-from .forms import ComplexForm, RealForm, n_complex_coeffs
-from .multiindex import (MultiIndex, increasing_indices, index_positions,
-                         num_indices, prepend)
+from .forms import (_BIDEGREES, ComplexForm, RealForm, complex_layout, n_complex_coeffs,
+                    wirtinger_frame)
+from .multiindex import increasing_indices, index_positions, num_indices, prepend
 
 
 def _sl(ndim, ax, s):
@@ -86,55 +86,39 @@ def d_terms(n: int, p: int) -> tuple[tuple[int, int, float, int], ...]:
     return tuple(terms)
 
 
+def _raised(bidegree: tuple[int, int], bar: bool) -> tuple[int, int]:
+    """Output bidegree of dbar (bar) or partial on a supported bidegree; the
+    output must be supported too."""
+    p, q = bidegree
+    out = (p, q + 1) if bar else (p + 1, q)
+    if out not in _BIDEGREES:
+        raise ValidationError(
+            f"{'dbar' if bar else 'partial'} does not support bidegree {bidegree}")
+    return out
+
+
 @lru_cache(maxsize=None)
 def complex_terms(n: int, bidegree: tuple[int, int], bar: bool):
     """Terms of the (0,1)- or (1,0)-raising complex operator on C^n.
 
-    bar selects the antiholomorphic operator.  Wirtinger combinations:
-    d/dz_k = (D_{2k-1} - i D_{2k}) / 2 and the conjugate pairing, with the
-    interleaved convention z_k = x_{2k-1} + i x_{2k}.
+    bar selects the antiholomorphic operator.  The derivative of the
+    coefficient of dz_I wedge dzbar_J along d/dz_k (Wirtinger frame) is
+    wedged with dz_k on the left; along d/dzbar_k, dzbar_k moves past
+    dz_I, with sign (-1)^|I|.
     """
-    s = 1.0j if bar else -1.0j
-
-    def dz(out, inp, k, sign=1.0):
-        # sign * d/dz_k (or d/dzbar_k when bar) applied to slot inp
-        return [(out, inp, sign * 0.5, 2 * k), (out, inp, sign * s * 0.5, 2 * k + 1)]
-
+    frame = wirtinger_frame(n).conj() if bar else wirtinger_frame(n)
+    out_pos = {IJ: o for o, IJ in enumerate(complex_layout(n, _raised(bidegree, bar)))}
     terms = []
-    if bidegree == (0, 0):
-        for k in range(n):
-            terms += dz(k, 0, k)
-    elif bidegree == (1, 0) and bar:
-        # dzbar_k wedge dz_i = -dz_i wedge dzbar_k
-        for i in range(n):
-            for k in range(n):
-                terms += dz(i * n + k, i, k, sign=-1.0)
-    elif bidegree == (0, 1) and not bar:
-        for k in range(n):
-            for i in range(n):
-                terms += dz(i * n + k, k, i)
-    elif bidegree == (0, 1) and bar:
-        pos = index_positions(n, 2)
-        for j in range(n):
-            for k in range(j + 1, n):
-                q = pos[MultiIndex((j + 1, k + 1))]
-                terms += dz(q, k, j) + dz(q, j, k, sign=-1.0)
-    elif bidegree == (1, 0) and not bar:
-        pos = index_positions(n, 2)
-        for i in range(n):
-            for k in range(i + 1, n):
-                q = pos[MultiIndex((i + 1, k + 1))]
-                terms += dz(q, k, i) + dz(q, i, k, sign=-1.0)
-    else:
-        raise ValidationError(f"unsupported bidegree {bidegree}")
+    for s, (I, J) in enumerate(complex_layout(n, bidegree)):
+        for k in range(1, n + 1):
+            signed = prepend(k, J if bar else I, n)
+            if not signed.sign:
+                continue
+            o = out_pos[(I, signed.index) if bar else (signed.index, J)]
+            sign = signed.sign * (-1) ** len(I) if bar else signed.sign
+            terms += [(o, s, sign * complex(frame[k - 1, ax]), int(ax))
+                      for ax in np.flatnonzero(frame[k - 1])]
     return tuple(terms)
-
-
-_RAISED = {  # output bidegree per (input bidegree, bar)
-    ((0, 0), True): (0, 1), ((0, 0), False): (1, 0),
-    ((1, 0), True): (1, 1), ((0, 1), False): (1, 1),
-    ((0, 1), True): (0, 2), ((1, 0), False): (2, 0),
-}
 
 
 def apply_terms(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None) -> np.ndarray:
@@ -256,12 +240,8 @@ def t_star_discrete(alpha: RealForm, weight: Weight, mask: np.ndarray | None = N
 
 def _complex_derivative(u: ComplexForm, bar: bool) -> ComplexForm:
     """dbar u when bar is set, partial u otherwise."""
-    key = (tuple(u.bidegree), bar)
-    if key not in _RAISED:
-        raise ValidationError(
-            f"{'dbar' if bar else 'partial'} does not support bidegree {u.bidegree}")
-    out_bd = _RAISED[key]
-    coeffs = apply_terms(complex_terms(u.n, key[0], bar), u.coeffs,
+    out_bd = _raised(u.bidegree, bar)
+    coeffs = apply_terms(complex_terms(u.n, u.bidegree, bar), u.coeffs,
                          n_complex_coeffs(u.n, out_bd), u.grid.h, dtype=complex)
     return ComplexForm(u.grid, out_bd, coeffs)
 
@@ -277,13 +257,9 @@ def partial(u: ComplexForm) -> ComplexForm:
 
 
 def conj_form(f: ComplexForm) -> ComplexForm:
-    """Complex conjugate form; swaps (p,q) with (q,p)."""
-    bd = tuple(f.bidegree)
-    if bd in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)):
-        return ComplexForm(f.grid, bd[::-1], f.coeffs.conj())
-    if bd == (1, 1):
-        n = f.n
-        mat = f.coeffs.reshape((n, n) + f.grid.shape)
-        out = -np.conj(np.swapaxes(mat, 0, 1))
-        return ComplexForm(f.grid, bd, out.reshape((n * n,) + f.grid.shape))
-    raise ValidationError(f"unsupported bidegree {bd}")
+    """Complex conjugate form; swaps (p,q) with (q,p) by
+    conj(dz_I wedge dzbar_J) = (-1)^(|I||J|) dz_J wedge dzbar_I."""
+    p, q = f.bidegree
+    src = {IJ: k for k, IJ in enumerate(complex_layout(f.n, (p, q)))}
+    out = f.coeffs[[src[J, I] for I, J in complex_layout(f.n, (q, p))]].conj()
+    return ComplexForm(f.grid, (q, p), -out if p * q % 2 else out)

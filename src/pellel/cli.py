@@ -30,7 +30,8 @@ from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid
 # not called here (the reports carry c), but kept as this module's name: the
 # benchmark tracer in perfbench/tracing.py wraps pellel.cli.estimate_c
 from .domain import estimate_c  # noqa: F401
-from .errors import PellelError, SolverError, ValidationError
+from .errors import (PellelError, ResolutionError, SolverError, UnsupportedDomainError,
+                     ValidationError)
 from .forms import ComplexForm, RealForm
 from .pipeline import DEFAULT_SLACK
 
@@ -373,7 +374,8 @@ def main(argv=None) -> int:
             if val is not None:
                 setattr(cfg, name, val)
         report, code = run(cfg)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, UnsupportedDomainError, ResolutionError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, PellelError) as exc:

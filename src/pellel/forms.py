@@ -2,39 +2,83 @@
 
 Coefficients are stored for every box node in an array of shape
 (ncoeff, *grid.shape).  Real p-form coefficients follow the lexicographic
-increasing-multiindex layout.  Complex (1,1) forms keep the full n x n
-matrix of dz_i wedge dzbar_j coefficients (position i*n + j), because the
-Hermitian pointwise product sums over all pairs; (2,0) and (0,2) forms
-use increasing pairs.  Integrals are midpoint quadrature over the
-interior mask unless another mask is passed explicitly.
+increasing-multiindex layout.  A complex (p,q) form holds the coefficient
+of dz_I wedge dzbar_J at the position complex_layout gives, I and J
+increasing; a (1,1) form thus keeps the full n x n matrix (position
+i*n + j).  real_expansion defines the complex structure, and with it
+every conversion and complex derivative of the package.  Integrals are
+midpoint quadrature over the interior mask unless another mask is passed
+explicitly.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .domain import Grid, Weight
 from .errors import ValidationError
-from .multiindex import increasing_indices, num_indices
+from .multiindex import (MultiIndex, increasing_indices, index_positions, num_indices,
+                         sort_signature)
 
 _BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
 
 
-def n_complex_coeffs(n: int, bidegree: tuple[int, int]) -> int:
+@lru_cache(maxsize=None)
+def complex_layout(n: int, bidegree: tuple[int, int]) -> tuple:
+    """(I, J) of the basis form dz_I wedge dzbar_J at each coefficient
+    position of a (p,q) form over C^n: I runs over the degree-p and J over
+    the degree-q increasing multiindices, lexicographic, I slowest."""
+    if bidegree not in _BIDEGREES:
+        raise ValidationError(f"unsupported bidegree {bidegree}")
     p, q = bidegree
-    if (p, q) == (0, 0):
-        return 1
-    if (p, q) in ((1, 0), (0, 1)):
-        return n
-    if (p, q) == (1, 1):
-        return n * n
-    if (p, q) in ((2, 0), (0, 2)):
-        return n * (n - 1) // 2
-    raise ValidationError(f"unsupported bidegree {bidegree}")
+    return tuple(itertools.product(increasing_indices(n, p), increasing_indices(n, q)))
+
+
+@lru_cache(maxsize=None)
+def real_expansion(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, int, complex], ...]:
+    """Nonzero entries (r, k, e) of the expansion of the complex basis in
+    the real one: dz_I wedge dzbar_J at coefficient position k equals the
+    sum of e dx_R over the real degree-(p+q) multiindices R at position r.
+
+    This is the one definition of the complex structure: interleaved
+    coordinates z_j = x_{2j-1} + i x_{2j}.  The expanded basis forms are
+    orthogonal with squared norm 2^(p+q).
+    """
+    pos = index_positions(2 * n, sum(bidegree))
+    # dz_j = dx_{2j-1} + i dx_{2j}, and dzbar_j is its conjugate
+    dz = {j: ((2 * j - 1, 1), (2 * j, 1j)) for j in range(1, n + 1)}
+    entries = {}
+    for k, (I, J) in enumerate(complex_layout(n, bidegree)):
+        factors = [dz[j] for j in I] + [[(a, e.conjugate()) for a, e in dz[j]] for j in J]
+        for picks in itertools.product(*factors):
+            signed = sort_signature([a for a, _ in picks])
+            if signed.sign:
+                key = (pos[signed.index], k)
+                entries[key] = entries.get(key, 0) + signed.sign * math.prod(e for _, e in picks)
+    return tuple((r, k, complex(e)) for (r, k), e in sorted(entries.items()) if e)
+
+
+@lru_cache(maxsize=None)
+def wirtinger_frame(n: int) -> np.ndarray:
+    """W of shape (n, 2n) with d/dz_j = sum_a W[j, a] d/dx_a; d/dzbar_j
+    takes conj(W).  The frame dual to the dz_j: the adjoint of their
+    expansion divided by their squared norm 2."""
+    W = np.zeros((n, 2 * n), dtype=complex)
+    for r, k, e in real_expansion(n, (1, 0)):
+        W[k, r] = e.conjugate() / 2
+    W.flags.writeable = False
+    return W
+
+
+def n_complex_coeffs(n: int, bidegree: tuple[int, int]) -> int:
+    return len(complex_layout(n, tuple(bidegree)))
 
 
 @dataclass
@@ -68,7 +112,6 @@ class RealForm:
         """Build from {multiindex tuple: callable or constant}; callables
         receive the stacked coordinate array (N, *shape)."""
         f = RealForm.zeros(grid, degree)
-        from .multiindex import MultiIndex, index_positions
         pos = index_positions(grid.dim, degree)
         for key, val in components.items():
             k = pos[MultiIndex(key, grid.dim)]
@@ -94,8 +137,8 @@ class RealForm:
 
 @dataclass
 class ComplexForm:
-    """Complex (p,q)-form over C^n, n = grid.dim / 2, interleaved real
-    coordinates z_j = x_{2j-1} + i x_{2j}."""
+    """Complex (p,q)-form over C^n, n = grid.dim / 2, in the coordinates
+    real_expansion defines."""
 
     grid: Grid
     bidegree: tuple[int, int]

@@ -156,9 +156,8 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
 
 
 def _is_real11(f: ComplexForm, tol: float = 1e-10) -> bool:
-    diff = f.coeffs - calculus.conj_form(f).coeffs
-    scale = max(float(np.abs(f.coeffs).max()), 1e-300)
-    return float(np.abs(diff).max()) <= tol * scale
+    asym, scale = bridge._asymmetry(f)
+    return asym <= tol * scale
 
 
 def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
@@ -176,6 +175,8 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
     report = _assemble_report(f, u, weight, grid, rep1.c, _report_norm2(f, weight, grid))
     report.parts = (rep1, rep2)
+    for name in ("realness", "type_residual_20", "type_residual_02"):
+        setattr(report, name, max(getattr(rep1, name), getattr(rep2, name)))
     return u, report
 
 

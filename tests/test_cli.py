@@ -68,6 +68,9 @@ def test_run_verify_mode(tmp_path):
     {"form": {"table": 5}},
     {"mode": "pipeline", "form": {"preset": "dx1_dx2"}},
     {"mode": "poincare", "form": {"preset": "dzbar"}},
+    {"mode": "verify", "domain": {"kind": "ball", "dim": 4}, "verify_suite": "boundary"},
+    {"h": 5.0},
+    {"margin": 5.0},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "seed_string", "seed_float",
@@ -75,7 +78,8 @@ def test_run_verify_mode(tmp_path):
         "radius_string", "domain_field_unknown", "domain_string",
         "ball_center_dim_mismatch", "ellipsoid_no_axes", "quadratic_no_matrix",
         "quadratic_ragged", "quadratic_wrong_dim", "form_string", "form_table_number",
-        "pipeline_real_form", "poincare_complex_form"])
+        "pipeline_real_form", "poincare_complex_form", "boundary_suite_dim4",
+        "h_no_interior", "margin_no_interior"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])

@@ -135,6 +135,20 @@ def test_pipeline_nonreal_linearity(disk_grid_coarse, gauss2):
     assert rep.residual <= 1e-5
 
 
+def test_c2_nonreal_report_fields_are_measured():
+    # (1 + 0.3i) i d dbar(|z1|^2 |z2|^2): the combined report carries the
+    # worse of the two parts, not unmeasured defaults
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    x1, y1, x2, y2 = grid.coords
+    z1, z2 = x1 + 1j * y1, x2 + 1j * y2
+    f = pl.ComplexForm(grid, (1, 1), 1j * np.stack(
+        [np.abs(z2)**2, np.conj(z1) * z2, z1 * np.conj(z2), np.abs(z1)**2]))
+    _, rep = pl.solve_poincare_lelong((1.0 + 0.3j) * f, pl.Weight.abs2(4), grid)
+    for name in ("realness", "type_residual_20", "type_residual_02"):
+        assert getattr(rep, name) == max(getattr(part, name) for part in rep.parts)
+    assert rep.type_residual_20 > 0.0 and rep.type_residual_02 > 0.0
+
+
 def test_underflowing_norms_raise():
     # phi = |x|^2 is about 900 on a disk centred at (30, 0), so exp(-phi)
     # underflows to 0 at every node and each weighted norm of f reads 0
