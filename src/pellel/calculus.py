@@ -137,16 +137,17 @@ def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
     For each axis the result holds pairs (index, coef) such that, for a
     col_mask vector v padded with one trailing zero slot,
     sum(coef * v[index]) is the stencil at every row node.  index is
-    int32; columns outside col_mask point at the zero slot.  coef is a
-    float where it is uniform over the live entries, else a row array.
+    np.intp, the type np.take indexes with, so a gather converts nothing;
+    columns outside col_mask point at the zero slot.  coef is a float
+    where it is uniform over the live entries, else a row array.
     The stencil rows come from diff_axis applied to an identity matrix,
     so the box stencil keeps one definition.
     """
     shape = row_mask.shape
     n_col = int(col_mask.sum())
-    col_pos = np.full(col_mask.size, n_col, dtype=np.int32)
-    col_pos[col_mask.ravel()] = np.arange(n_col, dtype=np.int32)
-    rows = np.flatnonzero(row_mask).astype(np.int32)
+    col_pos = np.full(col_mask.size, n_col, dtype=np.intp)
+    col_pos[col_mask.ravel()] = np.arange(n_col, dtype=np.intp)
+    rows = np.flatnonzero(row_mask)
     out = []
     for ax, m in enumerate(shape):
         stride = int(np.prod(shape[ax + 1:]))
@@ -155,14 +156,14 @@ def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
         # the j-th of every row (0 where a row has fewer)
         r, c = np.nonzero(mat)
         j = np.arange(r.size) - np.searchsorted(r, r)
-        cols = np.zeros((j.max() + 1, m), dtype=np.int32)
+        cols = np.zeros((j.max() + 1, m), dtype=np.intp)
         cols[j, r] = c
         coefs = np.zeros((j.max() + 1, m))
         coefs[j, r] = mat[r, c]
         at = rows // stride % m  # position of each row node along the axis
         diagonals = []
         for col, coef in zip(cols, coefs):
-            step = (col - np.arange(m, dtype=np.int32)) * stride
+            step = (col - np.arange(m)) * stride
             index = col_pos[rows + step[at]]
             used = np.zeros(m, dtype=bool)
             used[at[index != n_col]] = True

@@ -30,6 +30,7 @@ iteration never touches the rest of the grid box.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -88,16 +89,17 @@ class SolveReport:
     """Outcome of one minimum-norm solve.
 
     solve_min_norm fills the iteration record: the method that ran
-    ("craig" or "cgls") and matvecs, its count of apply plus adjoint
-    calls.  The convexity constant c, the norms, bound and ratios stay
-    None until a pipeline stage sets them; the norms then integrate over
-    the equation mask against exp(-phi), unshifted.
+    ("craig" or "cgls"), matvecs, its count of apply plus adjoint calls,
+    and seconds, its own wall time.  The convexity constant c, the norms,
+    bound and ratios stay None until a pipeline stage sets them; the norms
+    then integrate over the equation mask against exp(-phi), unshifted.
     """
 
     iterations: int
     relative_residual: float
     method: str = "cgls"
     matvecs: int = 0
+    seconds: float = 0.0
     c: float | None = None
     solution_norm2: float | None = None
     rhs_norm2: float | None = None
@@ -112,13 +114,23 @@ class SolveReport:
         return asdict(self)
 
 
-def _stencil_add(out, scale, v, diagonals):
-    """out += scale * (stencil applied to v), one gather per diagonal."""
+def _stencil_add(out, scale, v, diagonals, scratch):
+    """out += scale * (stencil applied to v), one gather per diagonal into
+    scratch, a vector of out's length and v's dtype."""
     for index, coef in diagonals:
         # the indices are in range by construction; "clip" skips the check
-        t = np.take(v, index, mode="clip")
+        t = np.take(v, index, out=scratch, mode="clip")
         t *= scale * coef
         out += t
+
+
+def _weighted_dot(x, y, w, vol):
+    """Re sum(x conj(y) w) vol over arrays (rows, nodes), in real
+    arithmetic: the imaginary parts add a term only when both are complex."""
+    total = np.einsum("ij,ij,j->", x.real, y.real, w)
+    if np.iscomplexobj(x) and np.iscomplexobj(y):
+        total += np.einsum("ij,ij,j->", x.imag, y.imag, w)
+    return float(total * vol)
 
 
 def weighted_first_order_map(grid: Grid, weight: Weight, terms,
@@ -134,8 +146,8 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     adjoint is the exact transpose against the exp(-phi) h^N inner
     products on the two masks.  The weight is shift-normalized by its
     minimum over the unknowns so the exponentials stay tame for large phi.
-    apply and adjoint share one work buffer, so a map serves one thread at
-    a time.
+    apply and adjoint share one work buffer and one gather vector, so a
+    map serves one thread at a time.
 
     With one equation component (n_out == 1) the map carries a
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
@@ -153,37 +165,43 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     forward = mask_stencils(eq_mask, dof_mask, grid.h)
     backward = mask_stencils(dof_mask, eq_mask, grid.h, transpose=True)
     buf = np.empty(max(n_in * (w_s.size + 1), n_out * (w_t.size + 1)), dtype=dtype)
+    gathered = np.empty(max(w_s.size, w_t.size), dtype=dtype)
 
-    def padded(x, shape):
-        # x in the work buffer, each row followed by the zero slot that
-        # the stencil indices of nodes outside the mask point at
+    def padded(x, shape, scale=None):
+        # x, times scale if given, in the work buffer, each row followed
+        # by the zero slot that the stencil indices of nodes outside the
+        # mask point at
         rows, n = shape
         v = buf[:rows * (n + 1)].reshape(rows, n + 1)
-        np.copyto(v[:, :-1], x, casting="same_kind")
+        if scale is None:
+            np.copyto(v[:, :-1], x, casting="same_kind")
+        else:
+            np.multiply(x, scale, out=v[:, :-1], casting="same_kind")
         v[:, -1] = 0.0
         return v
 
     def apply(u):
         v = padded(u, src_shape)
         out = np.zeros(tgt_shape, dtype=dtype)
+        scratch = gathered[:w_t.size]
         for o, i, s, ax in terms:
-            _stencil_add(out[o], s, v[i], forward[ax])
+            _stencil_add(out[o], s, v[i], forward[ax], scratch)
         return out
 
     def adjoint(b):
-        v = padded(b, tgt_shape)
-        v[:, :-1] *= w_t
+        v = padded(b, tgt_shape, w_t)
         out = np.zeros(src_shape, dtype=dtype)
+        scratch = gathered[:w_s.size]
         for o, i, s, ax in terms:
-            _stencil_add(out[i], np.conj(s), v[o], backward[ax])
+            _stencil_add(out[i], np.conj(s), v[o], backward[ax], scratch)
         out /= w_s
         return out
 
     def dot_source(x, y):
-        return float(np.sum((x * y.conj()).real * w_s) * vol)
+        return _weighted_dot(x, y, w_s, vol)
 
     def dot_target(x, y):
-        return float(np.sum((x * y.conj()).real * w_t) * vol)
+        return _weighted_dot(x, y, w_t, vol)
 
     preconditioner = None
     if n_out == 1 and terms:
@@ -243,6 +261,7 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     far, one entry per iteration.  Raises NotInRangeError when f is
     orthogonal to the range and no progress is possible.
     """
+    start = time.perf_counter()
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
     if maxiter is None:
@@ -252,7 +271,8 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     f = f.astype(dtype, copy=False)
     delta0 = A.dot_target(f, f)
     if delta0 == 0.0:
-        return np.zeros(A.source_shape, dtype=dtype), SolveReport(0, 0.0, method)
+        return np.zeros(A.source_shape, dtype=dtype), SolveReport(
+            0, 0.0, method, seconds=time.perf_counter() - start)
     progress = _Progress(delta0)
     u, k, delta, reason, matvecs = solve(A, f, tol, maxiter, progress)
 
@@ -268,13 +288,15 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
         converged=rel <= tol,
         reason=reason,
         residual_history=progress.history,
+        seconds=time.perf_counter() - start,
     )
     return u, report
 
 
 def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Progress):
     """CGLS iteration; returns (u, iterations, squared residual, stop
-    reason, matvecs)."""
+    reason, matvecs).  The vector updates run in place, through one work
+    vector for alpha p."""
     delta0 = progress.delta0
     u = np.zeros(A.source_shape, dtype=f.dtype)
     r = f.copy()
@@ -282,6 +304,7 @@ def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Prog
     matvecs = 1
     gamma = A.dot_source(s, s)
     p = s.copy()
+    step = np.empty_like(p)
     delta = delta0
     k = 0
     reason = "maxiter"
@@ -298,13 +321,15 @@ def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Prog
             reason = "breakdown" if k == 0 else "stagnated"
             break
         alpha = gamma / qq
-        u += alpha * p
+        np.multiply(p, alpha, out=step)
+        u += step
         k += 1
         if k % RECOMPUTE_EVERY == 0:
             r = f - A.apply(u)
             matvecs += 1
         else:
-            r -= alpha * q
+            q *= alpha
+            r -= q
         s = A.adjoint(r)
         matvecs += 2
         gamma_new = A.dot_source(s, s)
@@ -312,7 +337,8 @@ def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Prog
         if progress.stalled(delta):
             reason = "stagnated"
             break
-        p = s + (gamma_new / gamma) * p
+        p *= gamma_new / gamma
+        p += s
         gamma = gamma_new
     else:
         reason = "converged" if delta <= tol * tol * delta0 else "maxiter"

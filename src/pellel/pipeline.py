@@ -155,9 +155,12 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
                         1, c, 2.0 / c_levi, weight, grid, tol, maxiter)
 
 
-def _is_real11(f: ComplexForm, tol: float = 1e-10) -> bool:
+REAL_TOL = 1e-10  # realness gate: |f - conj f| <= tol * |f|, maxima over the grid
+
+
+def _relative_asymmetry(f: ComplexForm) -> float:
     asym, scale = bridge._asymmetry(f)
-    return asym <= tol * scale
+    return asym / scale
 
 
 def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
@@ -167,11 +170,13 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     space over G; u is the composition of the minimum-norm stages."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
-    if _is_real11(f):
-        return _solve_real11(f, weight, grid, tol, maxiter)
+    asymmetry = _relative_asymmetry(f)
+    if asymmetry <= REAL_TOL:
+        return _solve_real11(f, asymmetry, weight, grid, tol, maxiter)
     f_conj = calculus.conj_form(f)
-    u1, rep1 = _solve_real11(0.5 * (f + f_conj), weight, grid, tol, maxiter)
-    u2, rep2 = _solve_real11((-0.5j) * (f - f_conj), weight, grid, tol, maxiter)
+    (u1, rep1), (u2, rep2) = (
+        _solve_real11(part, _relative_asymmetry(part), weight, grid, tol, maxiter)
+        for part in (0.5 * (f + f_conj), (-0.5j) * (f - f_conj)))
     u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
     report = _assemble_report(f, u, weight, grid, rep1.c, _report_norm2(f, weight, grid))
     report.parts = (rep1, rep2)
@@ -180,10 +185,11 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     return u, report
 
 
-def _solve_real11(f: ComplexForm, weight: Weight, grid: Grid, tol: float,
-                  maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
-    """The three stages for a real (1,1) form f; the caller has tested
-    its realness."""
+def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
+                  tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
+    """The three stages for a real (1,1) form f, whose relative asymmetry
+    max |f - conj f| / max |f| the caller has measured; the report
+    carries it as realness."""
     norm_f2 = _report_norm2(f, weight, grid)
     v01, rep_p, type_residuals = _poincare_split(f, norm_f2, weight, grid, tol, maxiter)
     # v^{0,1} is dbar-closed only up to the residual of the Poincare stage
@@ -192,7 +198,7 @@ def _solve_real11(f: ComplexForm, weight: Weight, grid: Grid, tol: float,
     u = ComplexForm(grid, (0, 0), -1j * (w.coeffs - w.coeffs.conj()))
 
     report = _assemble_report(f, u, weight, grid, rep_p.c, norm_f2)
-    report.realness = float(np.abs(u.coeffs.imag).max())
+    report.realness = asymmetry
     report.stage_poincare = rep_p
     report.stage_dbar = rep_d
     report.norm_v2 = rep_p.solution_norm2

@@ -206,7 +206,7 @@ def test_main_theorem_constant_disk():
     assert elapsed < 300.0
     _report("potential-equation constant 8/c^2 (Gaussian weight)",
             f"ratio {rep.ratio:.4f} <= 2.3, residual {rep.residual:.1e} <= 1e-5, "
-            f"Im(u) {rep.realness:.1e}, {elapsed:.0f}s")
+            f"asymmetry |f - conj f|/|f| {rep.realness:.1e}, {elapsed:.0f}s")
 
 
 def test_c2_smoke():

@@ -304,3 +304,70 @@ def test_multigrid_built_on_first_solve(monkeypatch, disk_grid_coarse, gauss2):
     solve_min_norm(A, f)
     solve_min_norm(A, 2.0 * f)
     assert len(built) == 1
+
+
+def _dot_cases():
+    """(grid, weight, terms, n_in, n_out, dtype): d on functions and dbar
+    on the disk, d on 1-forms and dbar in C^2 on the ball."""
+    disk = pl.build_grid(pl.Domain.ball(1.0), 1 / 16)
+    ball4 = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    return {
+        "disk-d": (disk, pl.Weight.abs2(2), calc.d_terms(2, 0), 1, 2, float),
+        "disk-dbar": (disk, pl.Weight.abs2(2), calc.complex_terms(1, (0, 0), True), 1, 1,
+                      complex),
+        "ball4-d": (ball4, pl.Weight.abs2(4), calc.d_terms(4, 1), 4, 6, float),
+        "ball4-dbar": (ball4, pl.Weight.abs2(4), calc.complex_terms(2, (0, 0), True), 1, 2,
+                       complex),
+    }
+
+
+_DOT_CASES = _dot_cases()
+
+
+@pytest.mark.parametrize("case", list(_DOT_CASES))
+def test_weighted_dots_match_complex_oracle(case, rng):
+    # the oracle is the complex-arithmetic form Re sum(x conj(y) w) vol,
+    # with the documented weights exp(-(phi - min phi over the unknowns))
+    grid, weight, terms, n_in, n_out, dtype = _DOT_CASES[case]
+    A = weighted_first_order_map(grid, weight, terms, n_in, n_out,
+                                 grid.mask_eq, grid.mask_dof, dtype=dtype)
+    phi_s = weight.phi(grid.compact(grid.coords, grid.mask_dof))
+    phi_t = weight.phi(grid.compact(grid.coords, grid.mask_eq))
+    for dot, phi, shape in ((A.dot_source, phi_s, A.source_shape),
+                            (A.dot_target, phi_t, A.target_shape)):
+        w = np.exp(-(phi - phi_s.min()))
+        for x_complex in (False, True):
+            for y_complex in (False, True):
+                x = rng.standard_normal(shape) + x_complex * 1j * rng.standard_normal(shape)
+                # y leans on x, so the sum does not cancel and the error is
+                # relative to a value of its own size
+                y = x + 0.5 * (rng.standard_normal(shape)
+                               + y_complex * 1j * rng.standard_normal(shape))
+                if not y_complex:
+                    y = y.real
+                expected = float(np.sum((x * y.conj()).real * w) * grid.cell_volume)
+                assert dot(x, y) == pytest.approx(expected, rel=1e-13, abs=0.0)
+    # real probes: on the complex maps they pair complex images with real
+    # vectors in both dots
+    assert A.check_adjoint(rng, complex_valued=False) <= 1e-12
+
+
+def test_c2_cgls_counts_and_adjoints_at_h6(rng):
+    # the C^2 pipeline at h = 1/6 takes 44 and 83 CGLS iterations; the
+    # kernels of one iteration may move them by rounding only.  Both stage
+    # maps stay exact adjoints on their np.intp gather tables
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 6)
+    w = pl.Weight.abs2(4)
+    _, rep = pl.solve_poincare_lelong(pl.standard_11_form(grid), w, grid)
+    assert rep.stage_poincare.method == rep.stage_dbar.method == "cgls"
+    assert abs(rep.stage_poincare.iterations - 44) <= 1
+    assert abs(rep.stage_dbar.iterations - 83) <= 1
+    for terms, n_in, n_out, dtype in ((calc.d_terms(4, 1), 4, 6, float),
+                                      (calc.complex_terms(2, (0, 0), True), 1, 2, complex)):
+        A = weighted_first_order_map(grid, w, terms, n_in, n_out,
+                                     grid.mask_eq, grid.mask_dof, dtype=dtype)
+        assert A.check_adjoint(rng, complex_valued=dtype is complex) <= 1e-12
+    for rows, cols, transpose in ((grid.mask_eq, grid.mask_dof, False),
+                                  (grid.mask_dof, grid.mask_eq, True)):
+        for diagonals in calc.mask_stencils(rows, cols, grid.h, transpose):
+            assert all(index.dtype == np.intp for index, _ in diagonals)

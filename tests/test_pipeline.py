@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_pipeline_standard_input(disk_grid_coarse, gauss2):
     assert rep.norm_u2 <= norm2(cand, gauss2, disk_grid_coarse.mask_dof) * (1 + 1e-8)
 
 
+def test_realness_is_the_relative_asymmetry_of_f(disk_grid_coarse, gauss2):
+    # 1e-12 on the real part of i dz ^ dzbar: conj f = -conj(1e-12 + i) differs
+    # from f by 2e-12, inside the 1e-10 realness gate
+    f = pl.standard_11_form(disk_grid_coarse)
+    f.coeffs[0] += 1e-12
+    _, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
+    assert rep.parts is None
+    assert rep.realness == pytest.approx(2e-12, rel=1e-3)
+
+
 def test_pipeline_type_bookkeeping(disk_grid_coarse, gauss2):
     f = pl.standard_11_form(disk_grid_coarse)
     _, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
@@ -188,7 +199,7 @@ def test_pipeline_rejects_nonclosed_real_11_form():
     grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
     f = pl.ComplexForm.zeros(grid, (1, 1))
     f.coeffs[0] = 1j * grid.coords[2]
-    assert pipeline._is_real11(f)
+    assert pipeline._relative_asymmetry(f) <= pipeline.REAL_TOL
     with pytest.raises(ValidationError, match="not closed"):
         pl.solve_poincare_lelong(f, pl.Weight.abs2(4), grid)
 
@@ -214,7 +225,9 @@ def test_pipeline_computes_c_and_realness_once_per_stage(monkeypatch, disk_grid_
 
 def test_report_serializes(disk_grid_coarse, gauss2):
     f = pl.standard_11_form(disk_grid_coarse)
+    start = time.perf_counter()
     _, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
+    elapsed = time.perf_counter() - start
     out = rep.to_dict()
     dumped = json.loads(json.dumps(out))
     assert dumped == out
@@ -225,6 +238,8 @@ def test_report_serializes(disk_grid_coarse, gauss2):
         # one-component stages run the preconditioned dual solve
         assert dumped[stage]["method"] == "craig"
         assert dumped[stage]["matvecs"] == 2 * getattr(rep, stage).iterations + 1
+        # the wall time of the stage's solve_min_norm
+        assert 0.0 < dumped[stage]["seconds"] < elapsed
 
 
 def test_c2_stages_run_cgls():
