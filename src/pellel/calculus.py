@@ -37,17 +37,20 @@ def _sl(ndim, ax, s):
     return tuple(s if i == ax else slice(None) for i in range(ndim))
 
 
-def diff_axis(a: np.ndarray, ax: int, h: float) -> np.ndarray:
+def diff_axis(a: np.ndarray, ax: int, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """First derivative along one axis: centered inside, one-sided at the
-    two box faces."""
-    out = np.empty_like(a)
+    two box faces.  Written into out when given (an array of a's shape)."""
+    if out is None:
+        out = np.empty_like(a)
     nd = a.ndim
-    out[_sl(nd, ax, slice(1, -1))] = (a[_sl(nd, ax, slice(2, None))]
-                                      - a[_sl(nd, ax, slice(None, -2))]) / (2.0 * h)
-    out[_sl(nd, ax, slice(0, 1))] = (a[_sl(nd, ax, slice(1, 2))]
-                                     - a[_sl(nd, ax, slice(0, 1))]) / h
-    out[_sl(nd, ax, slice(-1, None))] = (a[_sl(nd, ax, slice(-1, None))]
-                                         - a[_sl(nd, ax, slice(-2, -1))]) / h
+    mid = out[_sl(nd, ax, slice(1, -1))]
+    np.subtract(a[_sl(nd, ax, slice(2, None))], a[_sl(nd, ax, slice(None, -2))], out=mid)
+    mid /= 2.0 * h
+    for face, inner, outer in ((slice(0, 1), slice(1, 2), slice(0, 1)),
+                               (slice(-1, None), slice(-1, None), slice(-2, -1))):
+        end = out[_sl(nd, ax, face)]
+        np.subtract(a[_sl(nd, ax, inner)], a[_sl(nd, ax, outer)], out=end)
+        end /= h
     return out
 
 
@@ -121,11 +124,35 @@ def complex_terms(n: int, bidegree: tuple[int, int], bar: bool):
     return tuple(terms)
 
 
+def _component(terms, coeffs: np.ndarray, o: int, h: float, out: np.ndarray,
+               scratch: np.ndarray) -> None:
+    """Output coefficient o of the operator given by terms, written into
+    out, each term staged in scratch (both box arrays of out's dtype)."""
+    out.fill(0)
+    for to, i, s, ax in terms:
+        if to == o:
+            diff_axis(coeffs[i], ax, h, out=scratch)
+            scratch *= s
+            out += scratch
+
+
 def apply_terms(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None) -> np.ndarray:
-    out = np.zeros((n_out,) + coeffs.shape[1:], dtype=dtype or coeffs.dtype)
-    for o, i, s, ax in terms:
-        out[o] += s * diff_axis(coeffs[i], ax, h)
+    out = np.empty((n_out,) + coeffs.shape[1:], dtype=dtype or coeffs.dtype)
+    scratch = np.empty(coeffs.shape[1:], dtype=out.dtype)
+    for o in range(n_out):
+        _component(terms, coeffs, o, h, out[o], scratch)
     return out
+
+
+def iter_components(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None):
+    """The output coefficients of apply_terms one box array at a time, in
+    layout order.  The array yielded for one position is overwritten by
+    the next, so two box components are held in all."""
+    comp = np.empty(coeffs.shape[1:], dtype=dtype or coeffs.dtype)
+    scratch = np.empty_like(comp)
+    for o in range(n_out):
+        _component(terms, coeffs, o, h, comp, scratch)
+        yield comp
 
 
 def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
@@ -257,10 +284,28 @@ def partial(u: ComplexForm) -> ComplexForm:
     return _complex_derivative(u, False)
 
 
+@lru_cache(maxsize=None)
+def _conj_layout(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+    """For each position of the (q,p) layout, the position in the (p,q)
+    layout that its conjugate comes from, and the sign (-1)^(pq) of
+    conj(dz_I wedge dzbar_J) = (-1)^(|I||J|) dz_J wedge dzbar_I."""
+    p, q = bidegree
+    src = {IJ: k for k, IJ in enumerate(complex_layout(n, (p, q)))}
+    return tuple(src[J, I] for I, J in complex_layout(n, (q, p))), (-1) ** (p * q)
+
+
+def conj_coefficient(f: ComplexForm, k: int) -> np.ndarray:
+    """Coefficient k of conj_form(f), computed alone (one box component)."""
+    sources, sign = _conj_layout(f.n, f.bidegree)
+    out = np.conj(f.coeffs[sources[k]])
+    return np.negative(out, out=out) if sign < 0 else out
+
+
 def conj_form(f: ComplexForm) -> ComplexForm:
     """Complex conjugate form; swaps (p,q) with (q,p) by
     conj(dz_I wedge dzbar_J) = (-1)^(|I||J|) dz_J wedge dzbar_I."""
     p, q = f.bidegree
-    src = {IJ: k for k, IJ in enumerate(complex_layout(f.n, (p, q)))}
-    out = f.coeffs[[src[J, I] for I, J in complex_layout(f.n, (q, p))]].conj()
-    return ComplexForm(f.grid, (q, p), -out if p * q % 2 else out)
+    out = np.empty((n_complex_coeffs(f.n, (q, p)),) + f.grid.shape, dtype=complex)
+    for k in range(len(out)):
+        out[k] = conj_coefficient(f, k)
+    return ComplexForm(f.grid, (q, p), out)

@@ -15,6 +15,7 @@ Hessians.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -174,6 +175,9 @@ class Grid:
                  equations.
     mask_dof     mask_eq dilated once more; where solver unknowns live and
                  the minimum-norm objective is measured.
+
+    build_grid makes the three masks read-only: compact and expand find
+    their nodes once per grid.
     """
 
     domain: Domain
@@ -206,20 +210,37 @@ class Grid:
         """Interior nodes with at least one axis neighbor outside G."""
         return self.interior & _dilate(~self.interior)
 
+    @cached_property
+    def _mask_nodes(self) -> dict[str, np.ndarray]:
+        return {name: np.flatnonzero(getattr(self, name))
+                for name in ("interior", "mask_eq", "mask_dof")}
+
+    def _nodes(self, mask: np.ndarray) -> np.ndarray:
+        """Flat box indices of the mask's nodes, ascending.  Computed once
+        per grid for its own interior, mask_eq and mask_dof; any other
+        mask is searched on every call."""
+        for name, nodes in self._mask_nodes.items():
+            if mask is getattr(self, name):
+                return nodes
+        return np.flatnonzero(mask)
+
     def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous
         (k, #mask nodes) array, nodes in C order."""
-        return np.take(a.reshape(len(a), mask.size), np.flatnonzero(mask), axis=1)
+        return np.take(a.reshape(len(a), mask.size), self._nodes(mask), axis=1)
 
     def expand(self, u: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Inverse of compact: the box array with u on the mask, 0 elsewhere."""
         out = np.zeros((len(u),) + mask.shape, dtype=u.dtype)
-        out.reshape(len(u), mask.size)[:, np.flatnonzero(mask)] = u
+        out.reshape(len(u), mask.size)[:, self._nodes(mask)] = u
         return out
 
     def weight_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
         """exp(-phi) at the mask's nodes, in compact order."""
         return np.exp(-weight.phi(self.compact(self.coords, mask)))
+
+
+RHO_SLABS = 8
 
 
 def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> Grid:
@@ -238,13 +259,24 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
         k0 = int(np.floor(lo[d] / h - 0.5)) - pad
         k1 = int(np.ceil(hi[d] / h - 0.5)) + pad
         axes.append((np.arange(k0, k1 + 1) + 0.5) * h)
-    coords = np.stack(np.meshgrid(*axes, indexing="ij"))
-    interior = domain.rho(coords) < -margin
+    shape = tuple(len(a) for a in axes)
+    coords = np.empty((domain.dim,) + shape)
+    for d, a in enumerate(axes):
+        coords[d] = a.reshape((-1,) + (1,) * (domain.dim - 1 - d))
+    # rho in RHO_SLABS slabs along the first axis, so that its temporaries
+    # stay a fraction of coords
+    interior = np.empty(shape, dtype=bool)
+    step = -(-shape[0] // RHO_SLABS)
+    for start in range(0, shape[0], step):
+        slab = slice(start, start + step)
+        interior[slab] = domain.rho(coords[:, slab]) < -margin
     if not interior.any():
         raise ResolutionError(
             f"no interior nodes for h={h}; refine the grid or shrink the margin")
     mask_eq = _dilate(interior)
     mask_dof = _dilate(mask_eq)
+    for mask in (interior, mask_eq, mask_dof):
+        mask.flags.writeable = False  # the grid caches their node indices
     return Grid(domain, float(h), float(margin), tuple(axes), coords,
                 interior, mask_eq, mask_dof)
 

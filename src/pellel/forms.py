@@ -235,11 +235,18 @@ def weighted_inner(f, g, weight: Weight, mask: np.ndarray | None = None):
     grid = f.grid
     if mask is None:
         mask = grid.interior
-    w = grid.weight_values(weight, mask) * grid.cell_volume
     a = grid.compact(f.coeffs, mask)
     b = a if g is f else grid.compact(g.coeffs, mask)
-    total = np.sum(np.einsum("kn,kn->n", a, b.conj()) * w)
+    total = compact_inner(grid, a, b, weight, mask)
     return float(total) if isinstance(f, RealForm) else complex(total)
+
+
+def compact_inner(grid: Grid, a: np.ndarray, b: np.ndarray, weight: Weight,
+                  mask: np.ndarray):
+    """weighted_inner of two coefficient arrays given on the mask's nodes
+    (the layout of grid.compact): sum of a conj(b) exp(-phi) h^N."""
+    w = grid.weight_values(weight, mask) * grid.cell_volume
+    return np.sum(np.einsum("kn,kn->n", a, b.conj()) * w)
 
 
 def norm2(f, weight: Weight, mask: np.ndarray | None = None) -> float:

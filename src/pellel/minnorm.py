@@ -29,6 +29,7 @@ iteration never touches the rest of the grid box.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -41,6 +42,8 @@ from .domain import Grid, Weight
 from .errors import NotInRangeError, ValidationError
 from .multigrid import ParityMultigrid
 
+logger = logging.getLogger(__name__)
+
 RECOMPUTE_EVERY = 50  # iterations between recomputing the residual from f - A u
 STALL_WINDOW = 60  # iterations without a new best residual before stopping
 
@@ -49,8 +52,9 @@ STALL_WINDOW = 60  # iterations without a new best residual before stopping
 class LinearMap:
     """Matrix-free operator between weighted coefficient-array spaces.
 
-    apply/adjoint act on arrays of shape source_shape/target_shape; the
-    adjoint is exact for the supplied weighted inner products.  For the
+    apply/adjoint act on arrays of shape source_shape/target_shape and
+    return new arrays, which the solvers update in place; the adjoint is
+    exact for the supplied weighted inner products.  For the
     maps of weighted_first_order_map these are compact arrays
     (n_in, #dof nodes) and (n_out, #eq nodes).  preconditioner, when set,
     maps a target array to an approximation of (A A*)^{-1} applied to it,
@@ -90,7 +94,10 @@ class SolveReport:
 
     solve_min_norm fills the iteration record: the method that ran
     ("craig" or "cgls"), matvecs, its count of apply plus adjoint calls,
-    and seconds, its own wall time.  The convexity constant c, the norms,
+    seconds, its own wall time, and two relative residual histories with
+    one entry per iteration: raw_residual_history, the residual of each
+    iterate, and residual_history, the best of them so far.  The
+    convexity constant c, the norms,
     bound and ratios stay None until a pipeline stage sets them; the norms
     then integrate over the equation mask against exp(-phi), unshifted.
     """
@@ -109,6 +116,7 @@ class SolveReport:
     converged: bool = True
     reason: str = "converged"
     residual_history: list = field(default_factory=list)
+    raw_residual_history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -223,13 +231,14 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
 
 
 class _Progress:
-    """Best-so-far residual history and stall test of one solve."""
+    """Raw and best-so-far residual histories and stall test of one solve."""
 
     def __init__(self, delta0: float):
         self.delta0 = delta0
         self.best = delta0
         self.since_improve = 0
         self.history: list[float] = []
+        self.raw_history: list[float] = []
 
     def stalled(self, delta: float) -> bool:
         """Record the squared residual of one iteration; True once
@@ -240,6 +249,7 @@ class _Progress:
         else:
             self.since_improve += 1
         self.history.append(float(np.sqrt(self.best / self.delta0)))
+        self.raw_history.append(float(np.sqrt(delta / self.delta0)))
         return self.since_improve >= STALL_WINDOW
 
 
@@ -257,9 +267,11 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     it is nonincreasing; when f has a component outside the numerical
     range the residual stalls at its size (the projection happens
     implicitly) and the report says so.  The last iterate is returned
-    with its own residual; residual_history keeps the best residual so
-    far, one entry per iteration.  Raises NotInRangeError when f is
-    orthogonal to the range and no progress is possible.
+    with its own residual; raw_residual_history keeps the residual the
+    iteration tracks for each iterate and residual_history the best of
+    them so far.  Each solve that returns logs one INFO record on the
+    pellel.minnorm logger.  Raises NotInRangeError when f is orthogonal
+    to the range and no progress is possible.
     """
     start = time.perf_counter()
     if tol <= 0:
@@ -271,39 +283,43 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     f = f.astype(dtype, copy=False)
     delta0 = A.dot_target(f, f)
     if delta0 == 0.0:
-        return np.zeros(A.source_shape, dtype=dtype), SolveReport(
-            0, 0.0, method, seconds=time.perf_counter() - start)
-    progress = _Progress(delta0)
-    u, k, delta, reason, matvecs = solve(A, f, tol, maxiter, progress)
-
-    rel = float(np.sqrt(delta / delta0))
-    if reason in ("stagnated", "breakdown") and rel > 1.0 - 1e-6:
-        raise NotInRangeError(
-            f"right-hand side orthogonal to the operator range (residual stayed at {rel:.3e})")
-    report = SolveReport(
-        iterations=k,
-        relative_residual=rel,
-        method=method,
-        matvecs=matvecs,
-        converged=rel <= tol,
-        reason=reason,
-        residual_history=progress.history,
-        seconds=time.perf_counter() - start,
-    )
+        u = np.zeros(A.source_shape, dtype=dtype)
+        report = SolveReport(0, 0.0, method, seconds=time.perf_counter() - start)
+    else:
+        progress = _Progress(delta0)
+        u, k, delta, reason, matvecs = solve(A, f, tol, maxiter, progress)
+        rel = float(np.sqrt(delta / delta0))
+        if reason in ("stagnated", "breakdown") and rel > 1.0 - 1e-6:
+            raise NotInRangeError(
+                f"right-hand side orthogonal to the operator range (residual stayed at {rel:.3e})")
+        report = SolveReport(
+            iterations=k,
+            relative_residual=rel,
+            method=method,
+            matvecs=matvecs,
+            converged=rel <= tol,
+            reason=reason,
+            residual_history=progress.history,
+            raw_residual_history=progress.raw_history,
+            seconds=time.perf_counter() - start,
+        )
+    logger.info("%s solve: %d iterations, %d matvecs, %.3f s, %s (relative residual %.3e)",
+                report.method, report.iterations, report.matvecs, report.seconds,
+                report.reason, report.relative_residual)
     return u, report
 
 
 def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Progress):
     """CGLS iteration; returns (u, iterations, squared residual, stop
     reason, matvecs).  The vector updates run in place, through one work
-    vector for alpha p."""
+    vector for alpha p, and each vector a matvec returns is released at
+    its last use, before the next matvec allocates."""
     delta0 = progress.delta0
     u = np.zeros(A.source_shape, dtype=f.dtype)
     r = f.copy()
-    s = A.adjoint(r)
+    p = A.adjoint(r)
     matvecs = 1
-    gamma = A.dot_source(s, s)
-    p = s.copy()
+    gamma = A.dot_source(p, p)
     step = np.empty_like(p)
     delta = delta0
     k = 0
@@ -325,11 +341,13 @@ def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Prog
         u += step
         k += 1
         if k % RECOMPUTE_EVERY == 0:
-            r = f - A.apply(u)
+            del q
+            np.subtract(f, A.apply(u), out=r)
             matvecs += 1
         else:
             q *= alpha
             r -= q
+            del q
         s = A.adjoint(r)
         matvecs += 2
         gamma_new = A.dot_source(s, s)
@@ -339,6 +357,7 @@ def _cgls(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Prog
             break
         p *= gamma_new / gamma
         p += s
+        del s
         gamma = gamma_new
     else:
         reason = "converged" if delta <= tol * tol * delta0 else "maxiter"
@@ -352,7 +371,8 @@ def _craig(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Pro
     a recurrence that passes the stopping test is confirmed on the
     recomputed residual, from which the iteration restarts if it does
     not pass.  Returns what _cgls returns, with the squared residual of
-    the returned u recomputed."""
+    the returned u recomputed.  As in _cgls, the vectors of one iteration
+    are released at their last use."""
     delta0 = progress.delta0
     u = np.zeros(A.source_shape, dtype=f.dtype)
     r = f.copy()
@@ -367,7 +387,7 @@ def _craig(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Pro
             if fresh:
                 reason = "converged"
                 break
-            r = f - A.apply(u)
+            np.subtract(f, A.apply(u), out=r)
             matvecs += 1
             delta = A.dot_target(r, r)
             fresh = True
@@ -385,6 +405,7 @@ def _craig(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Pro
         else:
             p *= rho_new / rho
             p += z
+        del z
         rho = rho_new
         s = A.adjoint(p)
         ss = A.dot_source(s, s)  # <p, A A* p>_T
@@ -397,18 +418,20 @@ def _craig(A: LinearMap, f: np.ndarray, tol: float, maxiter: int, progress: _Pro
         q = None if fresh else A.apply(s)
         s *= alpha
         u += s
+        del s
         if fresh:
-            r = f - A.apply(u)
+            np.subtract(f, A.apply(u), out=r)
         else:
             q *= alpha
             r -= q
+        del q
         matvecs += 2
         delta = A.dot_target(r, r)
         if progress.stalled(delta):
             reason = "stagnated"
             break
     if not fresh:
-        r = f - A.apply(u)
+        np.subtract(f, A.apply(u), out=r)
         matvecs += 1
         delta = A.dot_target(r, r)
     return u, k, delta, reason, matvecs

@@ -106,11 +106,11 @@ def _solve_stage(stage: str, rhs, closure, out_degree, terms, n_in: int,
             raise ValidationError(f"{stage} right-hand side is not closed: "
                                   f"residual {residual:.3e} exceeds {limit:.3e}")
     dtype = complex if isinstance(rhs, ComplexForm) else float
-    A = weighted_first_order_map(
-        grid, weight, terms, n_in, rhs.coeffs.shape[0], grid.mask_eq, grid.mask_dof,
-        dtype=dtype)
-    u, report = solve_min_norm(A, grid.compact(rhs.coeffs, grid.mask_eq), tol=tol,
-                               maxiter=maxiter)
+    # the map and its tables are released when the solve returns
+    u, report = solve_min_norm(
+        weighted_first_order_map(grid, weight, terms, n_in, rhs.coeffs.shape[0],
+                                 grid.mask_eq, grid.mask_dof, dtype=dtype),
+        grid.compact(rhs.coeffs, grid.mask_eq), tol=tol, maxiter=maxiter)
     _require_converged(report, stage)
     solution = type(rhs)(grid, out_degree, grid.expand(u, grid.mask_dof))
     report.c = c
@@ -167,22 +167,40 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
                           tol: float = 1e-10, maxiter: int | None = None
                           ) -> tuple[ComplexForm, PipelineReport]:
     """Solve i d dbar u = f for a d-closed (1,1) form f in the weighted
-    space over G; u is the composition of the minimum-norm stages."""
+    space over G; u is the composition of the minimum-norm stages.
+
+    Besides f and u, the pipeline holds at most one stage's right-hand
+    side and solution and a few box components at any time: every
+    intermediate form is released once used, and the realness test, the
+    real and imaginary parts of f and the composed residual take one
+    coefficient at a time."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
     asymmetry = _relative_asymmetry(f)
     if asymmetry <= REAL_TOL:
         return _solve_real11(f, asymmetry, weight, grid, tol, maxiter)
-    f_conj = calculus.conj_form(f)
+    # the real part (f + conj f) / 2 and the imaginary part (f - conj f) / (2i)
     (u1, rep1), (u2, rep2) = (
-        _solve_real11(part, _relative_asymmetry(part), weight, grid, tol, maxiter)
-        for part in (0.5 * (f + f_conj), (-0.5j) * (f - f_conj)))
+        _solve_part(f, combine, scale, weight, grid, tol, maxiter)
+        for combine, scale in ((np.add, 0.5), (np.subtract, -0.5j)))
     u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
     report = _assemble_report(f, u, weight, grid, rep1.c, _report_norm2(f, weight, grid))
     report.parts = (rep1, rep2)
     for name in ("realness", "type_residual_20", "type_residual_02"):
         setattr(report, name, max(getattr(rep1, name), getattr(rep2, name)))
     return u, report
+
+
+def _solve_part(f: ComplexForm, combine, scale: complex, weight: Weight, grid: Grid,
+                tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
+    """The three stages for the real (1,1) form scale * combine(f, conj f),
+    built one coefficient at a time and released on return."""
+    coeffs = np.empty_like(f.coeffs)
+    for k, fk in enumerate(f.coeffs):
+        combine(fk, calculus.conj_coefficient(f, k), out=coeffs[k])
+        coeffs[k] *= scale
+    part = ComplexForm(grid, (1, 1), coeffs)
+    return _solve_real11(part, _relative_asymmetry(part), weight, grid, tol, maxiter)
 
 
 def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
@@ -195,7 +213,9 @@ def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
     # v^{0,1} is dbar-closed only up to the residual of the Poincare stage
     w, rep_d = solve_dbar(v01, weight, grid, tol=tol, maxiter=maxiter,
                           check_closed=False)
+    del v01  # released before the composed residual, as is w below
     u = ComplexForm(grid, (0, 0), -1j * (w.coeffs - w.coeffs.conj()))
+    del w
 
     report = _assemble_report(f, u, weight, grid, rep_p.c, norm_f2)
     report.realness = asymmetry
@@ -211,24 +231,38 @@ def _poincare_split(f: ComplexForm, norm_f2: float, weight: Weight, grid: Grid,
                     tol: float, maxiter: int | None):
     """The d-stage for a real (1,1) form f and the (0,1) part of its
     solution v; also returns the stage report and the relative norms of
-    the pure-type parts of dv, which vanish with dv - f.  The forms of
-    this stage are released before the dbar stage runs."""
-    g = bridge.real11_to_real2(f, require_real=False)
-    v, rep_p = solve_poincare(g, weight, grid, tol=tol, maxiter=maxiter)
+    the pure-type parts of dv, which vanish with dv - f.  The real 2-form
+    of f lives only during the solve, v only until it is split, and the
+    (1,0) part until its type residual is taken."""
+    v, rep_p = solve_poincare(bridge.real11_to_real2(f, require_real=False), weight, grid,
+                              tol=tol, maxiter=maxiter)
     v10, v01 = bridge.split_1form(v)
+    del v
     scale = math.sqrt(norm_f2) if norm_f2 else 1.0
-    type_residuals = tuple(math.sqrt(_report_norm2(form, weight, grid)) / scale
-                           for form in (calculus.partial(v10), calculus.dbar(v01)))
-    return v01, rep_p, type_residuals
+    residual_20 = math.sqrt(_report_norm2(calculus.partial(v10), weight, grid)) / scale
+    del v10
+    residual_02 = math.sqrt(_report_norm2(calculus.dbar(v01), weight, grid)) / scale
+    return v01, rep_p, (residual_20, residual_02)
+
+
+def _composed_residual2(f: ComplexForm, u: ComplexForm, weight: Weight,
+                        grid: Grid) -> float:
+    """Squared weighted norm of i partial dbar u - f over the interior,
+    built one box component of partial dbar u at a time."""
+    du = calculus.dbar(u)
+    terms = calculus.complex_terms(u.n, du.bidegree, False)
+    resid = grid.compact(f.coeffs, grid.interior)
+    for o, comp in enumerate(calculus.iter_components(terms, du.coeffs, len(resid), grid.h)):
+        resid[o] = 1j * grid.compact(comp[None], grid.interior)[0] - resid[o]
+    return float(forms.compact_inner(grid, resid, resid, weight, grid.interior).real)
 
 
 def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,
                      c: float, norm_f2: float) -> PipelineReport:
     # the composed second-order residual is only equation-controlled on the
     # interior mask (one ring inside the dbar-stage equation mask)
-    resid_form = 1j * calculus.partial(calculus.dbar(u)) - f
     norm_f2_int = _checked_norm2(f, weight, grid.interior)
-    residual = (math.sqrt(forms.norm2(resid_form, weight, grid.interior) / norm_f2_int)
+    residual = (math.sqrt(_composed_residual2(f, u, weight, grid) / norm_f2_int)
                 if norm_f2_int else 0.0)
     norm_u2 = _report_norm2(u, weight, grid)
     return PipelineReport(

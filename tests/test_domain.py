@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -238,3 +240,48 @@ def test_weight_values_at_mask_nodes():
     got = grid.weight_values(w, grid.mask_eq)
     np.testing.assert_allclose(got, np.exp(-np.sum(grid.coords**2, axis=0))[grid.mask_eq],
                                rtol=1e-14)
+
+
+def test_mask_nodes_searched_once_per_grid(monkeypatch, rng):
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
+    w = pl.Weight.abs2(2)
+    a = rng.standard_normal((2,) + grid.shape)
+    searched = []
+    flatnonzero = np.flatnonzero
+
+    def counted(mask):
+        searched.append(mask)
+        return flatnonzero(mask)
+
+    monkeypatch.setattr(np, "flatnonzero", counted)
+    for _ in range(3):
+        for mask in (grid.interior, grid.mask_eq, grid.mask_dof):
+            c = grid.compact(a, mask)
+            assert np.array_equal(c, a[:, mask])
+            assert np.array_equal(grid.expand(c, mask), np.where(mask, a, 0))
+            assert np.array_equal(grid.weight_values(w, mask),
+                                  np.exp(-w.phi(grid.coords[:, mask])))
+    assert len(searched) == 3
+    # any other mask is searched on every call
+    other = grid.boundary_adjacent
+    assert np.array_equal(grid.compact(a, other), a[:, other])
+    assert np.array_equal(grid.compact(a, other.copy()), a[:, other])
+    assert len(searched) == 5
+    # the cache relies on the grid's masks staying as built
+    with pytest.raises(ValueError):
+        grid.mask_eq[0, 0] = True
+
+
+@pytest.mark.parametrize("dim, h", [(2, 1 / 64), (4, 1 / 8)], ids=["2d", "4d"])
+def test_build_grid_peak_memory_and_coordinates(dim, h):
+    domain = pl.Domain.ball(1.0, dim=dim)
+    tracemalloc.start()
+    try:
+        grid = pl.build_grid(domain, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * grid.coords.nbytes
+    reference = np.stack(np.meshgrid(*grid.axes, indexing="ij"))
+    assert grid.coords.dtype == reference.dtype and np.array_equal(grid.coords, reference)
+    assert np.array_equal(grid.interior, domain.rho(reference) < 0)

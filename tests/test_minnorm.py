@@ -113,6 +113,19 @@ def test_monotone_residual_history(disk_grid_coarse, gauss2):
     assert np.all(np.diff(hist) <= 1e-14)
 
 
+@pytest.mark.parametrize("p, method", [(0, "cgls"), (1, "craig")])
+def test_raw_residual_history(disk_grid_coarse, gauss2, rng, p, method):
+    A = d_map(disk_grid_coarse, gauss2, p)
+    f = A.apply(rng.standard_normal(A.source_shape))
+    _, rep = solve_min_norm(A, f, tol=1e-10)
+    assert rep.method == method
+    raw, best = rep.raw_residual_history, rep.residual_history
+    assert len(raw) == len(best) == rep.iterations > 0
+    assert all(b <= r for b, r in zip(best, raw))
+    # the best entry is the running minimum of the raw ones, capped at |f|
+    assert best == [min([1.0] + raw[:k + 1]) for k in range(len(raw))]
+
+
 def test_scale_equivariance(disk_grid_coarse, gauss2):
     grid = disk_grid_coarse
     A = d_map(grid, gauss2, 1)
