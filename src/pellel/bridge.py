@@ -20,7 +20,7 @@ import numpy as np
 from . import calculus
 from .domain import Weight
 from .errors import ValidationError
-from .forms import ComplexForm, RealForm, real_expansion, wirtinger_frame
+from .forms import ComplexForm, RealForm, n_complex_coeffs, real_expansion, wirtinger_frame
 
 
 def _to_real(*parts: ComplexForm) -> RealForm:
@@ -28,21 +28,33 @@ def _to_real(*parts: ComplexForm) -> RealForm:
     the total degree p+q."""
     g = RealForm.zeros(parts[0].grid, sum(parts[0].bidegree))
     for f in parts:
-        # every entry is real or imaginary: a real multiindex fixes how many
-        # factors i the expansion picks
-        for r, k, e in real_expansion(f.n, f.bidegree):
-            g.coeffs[r] += e.real * f.coeffs[k].real if e.real else -e.imag * f.coeffs[k].imag
+        _add_real_part(g.coeffs, f.n, f.bidegree, f.coeffs.__getitem__)
     return g
 
 
-def _from_real(g: RealForm, bidegree: tuple[int, int]) -> ComplexForm:
-    """(p,q) part of a real (p+q)-form: the adjoint of the expansion
-    divided by 2^(p+q)."""
-    f = ComplexForm.zeros(g.grid, bidegree)
+def _add_real_part(g: np.ndarray, n: int, bidegree: tuple[int, int], coefficient) -> None:
+    """Add to the real coefficients g the real part of the expansion of
+    the (p,q) form over C^n whose coefficient k is coefficient(k), read
+    once per k.  Each real coefficient takes at most two entries, so the
+    order of the reads leaves every sum as it is."""
+    entries = real_expansion(n, bidegree)
+    for k in sorted({k for _, k, _ in entries}):
+        fk = coefficient(k)
+        # every entry is real or imaginary: a real multiindex fixes how many
+        # factors i the expansion picks
+        for r, _, e in (entry for entry in entries if entry[1] == k):
+            g[r] += e.real * fk.real if e.real else -e.imag * fk.imag
+
+
+def _from_real(g: np.ndarray, n: int, bidegree: tuple[int, int]) -> np.ndarray:
+    """Coefficients of the (p,q) part over C^n of a real (p+q)-form with
+    coefficients g, shape (k, *nodes) in any node layout: the adjoint of
+    the expansion divided by 2^(p+q)."""
+    f = np.zeros((n_complex_coeffs(n, bidegree),) + g.shape[1:], dtype=complex)
     scale = 0.5 ** sum(bidegree)
-    for r, k, e in real_expansion(f.n, bidegree):
-        part = f.coeffs[k].real if e.real else f.coeffs[k].imag
-        part += scale * (e.real or -e.imag) * g.coeffs[r]
+    for r, k, e in real_expansion(n, bidegree):
+        part = f[k].real if e.real else f[k].imag
+        part += scale * (e.real or -e.imag) * g[r]
     return f
 
 
@@ -51,9 +63,19 @@ def _asymmetry(f: ComplexForm) -> tuple[float, float]:
     largest |f|; f is real to tolerance tol when the first is at most tol
     times the second.  Each coefficient is compared with its conjugate
     partner alone, so the test holds one box component at a time."""
+    return coefficient_asymmetry(f.coeffs.__getitem__, f.n, f.bidegree)
+
+
+def coefficient_asymmetry(coefficient, n: int, bidegree: tuple[int, int]) -> tuple[float, float]:
+    """_asymmetry of the (p,q) form over C^n whose coefficient k is
+    coefficient(k), for callers that build coefficients on demand."""
+    sources, sign = calculus.conj_layout(n, bidegree)
     asym, scale = [], []
-    for k, fk in enumerate(f.coeffs):
-        diff = calculus.conj_coefficient(f, k)
+    for k, source in enumerate(sources):
+        fk = coefficient(k)
+        diff = np.conj(coefficient(source))
+        if sign < 0:
+            np.negative(diff, out=diff)
         np.subtract(fk, diff, out=diff)
         asym.append(np.abs(diff).max())
         scale.append(np.abs(fk).max())
@@ -78,6 +100,15 @@ def real11_to_real2(f: ComplexForm, require_real: bool = True,
     return _to_real(f)
 
 
+def real11_coefficients_to_real2(coefficient, grid) -> RealForm:
+    """The real 2-form of the real (1,1) form on grid whose box coefficient
+    k is coefficient(k): real11_to_real2 without the realness test, reading
+    each coefficient once, so a caller can build them one at a time."""
+    g = RealForm.zeros(grid, 2)
+    _add_real_part(g.coeffs, grid.dim // 2, (1, 1), coefficient)
+    return g
+
+
 def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
     """Inverse conversion; validates that g lies in the image of the real
     (1,1) forms (its (2,0) and (0,2) parts vanish)."""
@@ -85,7 +116,7 @@ def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
         raise ValidationError("input must be a real 2-form")
     if g.grid.dim % 2:
         raise ValidationError("real dimension must be even")
-    f = _from_real(g, (1, 1))
+    f = ComplexForm(g.grid, (1, 1), _from_real(g.coeffs, g.grid.dim // 2, (1, 1)))
     scale = max(float(np.abs(g.coeffs).max()), 1e-300)
     worst = float(np.abs(_to_real(f).coeffs - g.coeffs).max())
     if worst > tol * scale:
@@ -121,8 +152,15 @@ def split_1form(v: RealForm) -> tuple[ComplexForm, ComplexForm]:
         raise ValidationError("input must be a real 1-form")
     if v.grid.dim % 2:
         raise ValidationError("real dimension must be even")
-    v10 = _from_real(v, (1, 0))
-    return v10, ComplexForm(v.grid, (0, 1), v10.coeffs.conj())
+    v10, v01 = split_1form_coeffs(v.coeffs, v.grid.dim // 2)
+    return ComplexForm(v.grid, (1, 0), v10), ComplexForm(v.grid, (0, 1), v01)
+
+
+def split_1form_coeffs(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """split_1form on the coefficients of a real 1-form over C^n, shape
+    (2n, *nodes) in any node layout, box or compact."""
+    v10 = _from_real(v, n, (1, 0))
+    return v10, v10.conj()
 
 
 def join_1form(v10: ComplexForm, v01: ComplexForm) -> RealForm:

@@ -124,35 +124,19 @@ def complex_terms(n: int, bidegree: tuple[int, int], bar: bool):
     return tuple(terms)
 
 
-def _component(terms, coeffs: np.ndarray, o: int, h: float, out: np.ndarray,
-               scratch: np.ndarray) -> None:
-    """Output coefficient o of the operator given by terms, written into
-    out, each term staged in scratch (both box arrays of out's dtype)."""
-    out.fill(0)
-    for to, i, s, ax in terms:
-        if to == o:
-            diff_axis(coeffs[i], ax, h, out=scratch)
-            scratch *= s
-            out += scratch
-
-
 def apply_terms(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None) -> np.ndarray:
+    """The box operator given by terms; each term is staged in one scratch
+    box component and accumulated in place."""
     out = np.empty((n_out,) + coeffs.shape[1:], dtype=dtype or coeffs.dtype)
     scratch = np.empty(coeffs.shape[1:], dtype=out.dtype)
     for o in range(n_out):
-        _component(terms, coeffs, o, h, out[o], scratch)
+        out[o].fill(0)
+        for to, i, s, ax in terms:
+            if to == o:
+                diff_axis(coeffs[i], ax, h, out=scratch)
+                scratch *= s
+                out[o] += scratch
     return out
-
-
-def iter_components(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None):
-    """The output coefficients of apply_terms one box array at a time, in
-    layout order.  The array yielded for one position is overwritten by
-    the next, so two box components are held in all."""
-    comp = np.empty(coeffs.shape[1:], dtype=dtype or coeffs.dtype)
-    scratch = np.empty_like(comp)
-    for o in range(n_out):
-        _component(terms, coeffs, o, h, comp, scratch)
-        yield comp
 
 
 def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
@@ -203,6 +187,80 @@ def mask_stencils(row_mask: np.ndarray, col_mask: np.ndarray, h: float,
                 diagonals.append((index, coef[at]))
         out.append(diagonals)
     return out
+
+
+def stencil_plan(terms, stencils, n_rows: int, adjoint: bool = False) -> list[tuple]:
+    """The operator given by terms on the tables of mask_stencils,
+    compiled for apply_plan: for each output component, a scale and its
+    gathers (input component, index, combine, unit).
+
+    Output component o is the sum of s * coef * v[i][index] over the
+    terms (o, i, s, ax) and the diagonals (index, coef) of stencils[ax].
+    With adjoint, o and i swap roles and s is conjugated: on transposed
+    tables this is the exact transpose.  The scale of a component is the
+    factor s * coef of its first gather when that is a number, and each
+    gather keeps its factor relative to the scale: a sign (combine is
+    np.add or np.subtract, unit None) where the ratio is +-1, else the
+    ratio as unit.
+    """
+    rows = [[] for _ in range(n_rows)]
+    for o, i, s, ax in terms:
+        dst, src, factor = (i, o, np.conj(s)) if adjoint else (o, i, s)
+        rows[dst] += [(src, index, factor * coef) for index, coef in stencils[ax]]
+    plan = []
+    for row in rows:
+        scale = row[0][2] if row and np.ndim(row[0][2]) == 0 else 1.0
+        gathers = []
+        for src, index, factor in row:
+            unit = factor / scale  # exactly 1 for the first gather of a number scale
+            if np.ndim(unit) == 0 and unit in (1, -1):
+                gathers.append((src, index, np.add if unit == 1 else np.subtract, None))
+            else:
+                gathers.append((src, index, np.add, unit))
+        plan.append((scale, gathers))
+    return plan
+
+
+def apply_plan(plan, v: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Run a stencil_plan: v holds one input component per row, each
+    followed by the zero slot of mask_stencils, and out one output
+    component per row.  The first gather of a component writes straight
+    into it, the others go through scratch (a vector of out's row length
+    and v's dtype) and add by sign or by unit; the scale multiplies each
+    component once, at the end."""
+    for row, (scale, gathers) in zip(out, plan):
+        if not gathers:
+            row.fill(0)
+            continue
+        for k, (src, index, combine, unit) in enumerate(gathers):
+            # the indices are in range by construction; "clip" skips the check
+            t = v[src].take(index, out=scratch if k else row, mode="clip")
+            if unit is not None:
+                t *= unit
+            if k:
+                combine(row, t, out=row)
+        if scale != 1:
+            row *= scale
+    return out
+
+
+def mask_apply(grid: Grid, terms, u: np.ndarray, n_out: int, row_mask: np.ndarray,
+               col_mask: np.ndarray) -> np.ndarray:
+    """The operator given by terms on compact vectors: u holds (n_in,
+    #col_mask nodes), the result (n_out, #row_mask nodes).  This is the box
+    operator applied to u extended by zero, read on row_mask; where
+    col_mask holds every neighbour of row_mask (as mask_eq does for the
+    interior, and mask_dof for mask_eq), it equals the box operator of any
+    form that agrees with u on col_mask, to rounding.  The tables come
+    from grid.stencils, and the arithmetic is the one the solvers' maps
+    run (apply_plan)."""
+    stencils = grid.stencils(row_mask, col_mask)
+    dtype = np.result_type(u, *(s for _, _, s, _ in terms))
+    v = np.zeros((len(u), u.shape[1] + 1), dtype=dtype)
+    v[:, :-1] = u
+    n_rows = int(np.count_nonzero(row_mask))
+    return apply_plan(stencil_plan(terms, stencils, n_out), v,
+                      np.empty((n_out, n_rows), dtype=dtype), np.empty(n_rows, dtype=dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +343,7 @@ def partial(u: ComplexForm) -> ComplexForm:
 
 
 @lru_cache(maxsize=None)
-def _conj_layout(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+def conj_layout(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, ...], int]:
     """For each position of the (q,p) layout, the position in the (p,q)
     layout that its conjugate comes from, and the sign (-1)^(pq) of
     conj(dz_I wedge dzbar_J) = (-1)^(|I||J|) dz_J wedge dzbar_I."""
@@ -296,7 +354,7 @@ def _conj_layout(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, ...], in
 
 def conj_coefficient(f: ComplexForm, k: int) -> np.ndarray:
     """Coefficient k of conj_form(f), computed alone (one box component)."""
-    sources, sign = _conj_layout(f.n, f.bidegree)
+    sources, sign = conj_layout(f.n, f.bidegree)
     out = np.conj(f.coeffs[sources[k]])
     return np.negative(out, out=out) if sign < 0 else out
 

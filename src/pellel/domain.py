@@ -176,8 +176,9 @@ class Grid:
     mask_dof     mask_eq dilated once more; where solver unknowns live and
                  the minimum-norm objective is measured.
 
-    build_grid makes the three masks read-only: compact and expand find
-    their nodes once per grid.
+    build_grid makes the three masks read-only: the grid derives their
+    node indices and the stencil tables between them once, and keeps
+    exp(-phi) on each for the last weight asked for.
     """
 
     domain: Domain
@@ -210,19 +211,43 @@ class Grid:
         """Interior nodes with at least one axis neighbor outside G."""
         return self.interior & _dilate(~self.interior)
 
+    def _own(self, mask: np.ndarray) -> str | None:
+        """The name of the grid's own mask that mask is, if any."""
+        for name in ("interior", "mask_eq", "mask_dof"):
+            if mask is getattr(self, name):
+                return name
+        return None
+
     @cached_property
-    def _mask_nodes(self) -> dict[str, np.ndarray]:
-        return {name: np.flatnonzero(getattr(self, name))
-                for name in ("interior", "mask_eq", "mask_dof")}
+    def _cache(self) -> dict:
+        """What the grid derives from its own masks, built on first use:
+        node indices, stencil tables and the last weight's exp(-phi)."""
+        return {}
+
+    def _cached(self, key: tuple, build, *args):
+        """build(*args), kept under key unless key names a mask that is not
+        the grid's own (None)."""
+        if None in key:
+            return build(*args)
+        if key not in self._cache:
+            self._cache[key] = build(*args)
+        return self._cache[key]
 
     def _nodes(self, mask: np.ndarray) -> np.ndarray:
         """Flat box indices of the mask's nodes, ascending.  Computed once
         per grid for its own interior, mask_eq and mask_dof; any other
         mask is searched on every call."""
-        for name, nodes in self._mask_nodes.items():
-            if mask is getattr(self, name):
-                return nodes
-        return np.flatnonzero(mask)
+        return self._cached(("nodes", self._own(mask)), np.flatnonzero, mask)
+
+    def stencils(self, row_mask: np.ndarray, col_mask: np.ndarray,
+                 transpose: bool = False) -> list[list[tuple]]:
+        """calculus.mask_stencils(row_mask, col_mask, h, transpose), built
+        once per grid when both masks are the grid's own; any other mask
+        pair is built on every call.  The tables depend on the masks and
+        h only, so every map and compact operator on the grid shares them."""
+        from . import calculus
+        key = ("stencils", self._own(row_mask), self._own(col_mask), transpose)
+        return self._cached(key, calculus.mask_stencils, row_mask, col_mask, self.h, transpose)
 
     def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous
@@ -235,9 +260,41 @@ class Grid:
         out.reshape(len(u), mask.size)[:, self._nodes(mask)] = u
         return out
 
+    def _positions(self, sub: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Where the nodes of sub sit among the mask's nodes; every node of
+        sub must lie in the mask."""
+        nodes, inner = self._nodes(mask), self._nodes(sub)
+        pos = np.searchsorted(nodes, inner)
+        if inner.size and (pos[-1] >= nodes.size or not np.array_equal(nodes[pos], inner)):
+            raise ValidationError("the submask has nodes outside the mask")
+        return pos
+
+    def restrict(self, u: np.ndarray, mask: np.ndarray, sub: np.ndarray) -> np.ndarray:
+        """u, given on the mask's nodes (the layout of compact), on the
+        nodes of sub, which lie in the mask."""
+        return np.take(u, self._positions(sub, mask), axis=1)
+
+    def extend(self, u: np.ndarray, sub: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """u, given on the nodes of sub, extended by zero to the nodes of
+        the mask that contains sub."""
+        pos = self._positions(sub, mask)
+        out = np.zeros((len(u), self._nodes(mask).size), dtype=u.dtype)
+        out[:, pos] = u
+        return out
+
     def weight_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
-        """exp(-phi) at the mask's nodes, in compact order."""
-        return np.exp(-weight.phi(self.compact(self.coords, mask)))
+        """exp(-phi) at the mask's nodes, in compact order.  For the grid's
+        own masks the values of the last weight asked for are kept, and
+        returned read-only; any other mask or weight is evaluated afresh."""
+        name = self._own(mask)
+        kept = self._cache.get(("weight", name))
+        if kept is None or kept[0] is not weight:
+            kept = (weight, np.exp(-weight.phi(self.compact(self.coords, mask))))
+            if name is None:
+                return kept[1]
+            kept[1].flags.writeable = False
+            self._cache[("weight", name)] = kept
+        return kept[1]
 
 
 RHO_SLABS = 8

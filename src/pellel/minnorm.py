@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calculus import mask_stencils
+from .calculus import apply_plan, stencil_plan
 from .domain import Grid, Weight
 from .errors import NotInRangeError, ValidationError
 from .multigrid import ParityMultigrid
@@ -122,16 +122,6 @@ class SolveReport:
         return asdict(self)
 
 
-def _stencil_add(out, scale, v, diagonals, scratch):
-    """out += scale * (stencil applied to v), one gather per diagonal into
-    scratch, a vector of out's length and v's dtype."""
-    for index, coef in diagonals:
-        # the indices are in range by construction; "clip" skips the check
-        t = np.take(v, index, out=scratch, mode="clip")
-        t *= scale * coef
-        out += t
-
-
 def _weighted_dot(x, y, w, vol):
     """Re sum(x conj(y) w) vol over arrays (rows, nodes), in real
     arithmetic: the imaginary parts add a term only when both are complex."""
@@ -154,8 +144,10 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     adjoint is the exact transpose against the exp(-phi) h^N inner
     products on the two masks.  The weight is shift-normalized by its
     minimum over the unknowns so the exponentials stay tame for large phi.
-    apply and adjoint share one work buffer and one gather vector, so a
-    map serves one thread at a time.
+    The stencil tables come from grid.stencils, so on the grid's own
+    masks a map pays only for its weights; apply and adjoint run them
+    through calculus.apply_plan, and share one work buffer and one gather
+    vector, so a map serves one thread at a time.
 
     With one equation component (n_out == 1) the map carries a
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
@@ -170,8 +162,9 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     vol = grid.cell_volume
     src_shape = (n_in, w_s.size)
     tgt_shape = (n_out, w_t.size)
-    forward = mask_stencils(eq_mask, dof_mask, grid.h)
-    backward = mask_stencils(dof_mask, eq_mask, grid.h, transpose=True)
+    forward = stencil_plan(terms, grid.stencils(eq_mask, dof_mask), n_out)
+    backward = stencil_plan(terms, grid.stencils(dof_mask, eq_mask, transpose=True), n_in,
+                            adjoint=True)
     buf = np.empty(max(n_in * (w_s.size + 1), n_out * (w_t.size + 1)), dtype=dtype)
     gathered = np.empty(max(w_s.size, w_t.size), dtype=dtype)
 
@@ -189,19 +182,12 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         return v
 
     def apply(u):
-        v = padded(u, src_shape)
-        out = np.zeros(tgt_shape, dtype=dtype)
-        scratch = gathered[:w_t.size]
-        for o, i, s, ax in terms:
-            _stencil_add(out[o], s, v[i], forward[ax], scratch)
-        return out
+        return apply_plan(forward, padded(u, src_shape), np.empty(tgt_shape, dtype=dtype),
+                          gathered[:w_t.size])
 
     def adjoint(b):
-        v = padded(b, tgt_shape, w_t)
-        out = np.zeros(src_shape, dtype=dtype)
-        scratch = gathered[:w_s.size]
-        for o, i, s, ax in terms:
-            _stencil_add(out[i], np.conj(s), v[o], backward[ax], scratch)
+        out = apply_plan(backward, padded(b, tgt_shape, w_t), np.empty(src_shape, dtype=dtype),
+                         gathered[:w_s.size])
         out /= w_s
         return out
 

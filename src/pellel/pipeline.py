@@ -27,7 +27,7 @@ import numpy as np
 from . import bridge, calculus, forms
 from .domain import Grid, Weight, estimate_c
 from .errors import SolverError, ValidationError
-from .forms import ComplexForm, RealForm
+from .forms import ComplexForm, RealForm, n_complex_coeffs
 from .minnorm import SolveReport, solve_min_norm, weighted_first_order_map
 from .multiindex import num_indices
 
@@ -64,11 +64,12 @@ class PipelineReport:
 STAGE_FAIL_RESIDUAL = 1e-2  # above this the stage result is not a solution
 
 
-def _checked_norm2(form, weight: Weight, mask: np.ndarray) -> float:
-    """Weighted norm over mask; a form that is nonzero on the mask but
-    whose norm underflows to 0 raises instead of passing a check vacuously."""
-    norm = forms.norm2(form, weight, mask)
-    if norm == 0.0 and np.any(form.grid.compact(form.coeffs, mask)):
+def _norm2(values: np.ndarray, weight: Weight, grid: Grid, mask: np.ndarray) -> float:
+    """Weighted norm of coefficients given on the mask's nodes (the layout
+    of grid.compact); values that are nonzero but whose norm underflows
+    to 0 raise instead of passing a check vacuously."""
+    norm = float(forms.compact_inner(grid, values, values, weight, mask).real)
+    if norm == 0.0 and np.any(values):
         raise ValidationError(
             "weighted norm underflows to 0 for a form that is nonzero on the mask; "
             "exp(-phi) vanishes there in double precision")
@@ -79,7 +80,17 @@ def _report_norm2(form, weight: Weight, grid: Grid) -> float:
     """Norms in solve reports integrate over the equation mask: the
     discrete domain on which the equation is imposed (G plus a one-node
     collar that vanishes under refinement)."""
-    return _checked_norm2(form, weight, grid.mask_eq)
+    return _norm2(grid.compact(form.coeffs, grid.mask_eq), weight, grid, grid.mask_eq)
+
+
+def _derivative_norm2(terms, values: np.ndarray, n_out: int, weight: Weight,
+                      grid: Grid) -> float:
+    """Norm over the equation mask of the first-order operator given by
+    terms, applied to coefficients on the unknown nodes: every neighbour of
+    an equation node is an unknown node, so this is the box operator's
+    norm there."""
+    return _norm2(calculus.mask_apply(grid, terms, values, n_out, grid.mask_eq, grid.mask_dof),
+                  weight, grid, grid.mask_eq)
 
 
 def _require_converged(report: SolveReport, stage: str) -> None:
@@ -90,29 +101,46 @@ def _require_converged(report: SolveReport, stage: str) -> None:
             f"({report.reason})")
 
 
-def _solve_stage(stage: str, rhs, closure, out_degree, terms, n_in: int,
-                 c: float, bound: float, weight: Weight, grid: Grid, tol: float,
-                 maxiter: int | None):
-    """Minimum-norm solve of the first-order equation given by terms, with
-    the rhs's form type for the solution; the report's norms and ratios
-    are measured on the equation mask.  Unless closure is None, the rhs
-    must first pass the closedness gate |closure(rhs)| <= factor * h * |rhs|.
-    The solver runs on compact vectors over the equation and unknown masks."""
-    rhs_norm2 = _report_norm2(rhs, weight, grid)
+def _on_masks(f, grid: Grid, gated: bool):
+    """The coefficients of f on the equation nodes, and on the unknown
+    nodes when its stage gates it (else None)."""
+    return (grid.compact(f.coeffs, grid.mask_eq),
+            grid.compact(f.coeffs, grid.mask_dof) if gated else None)
+
+
+def _gated_norm2(stage: str, rhs: np.ndarray, unknowns, closure, weight: Weight,
+                 grid: Grid) -> float:
+    """The norm of a stage's right-hand side rhs on the equation nodes.
+    Unless closure is None, the right-hand side, given on the unknown
+    nodes, must first pass the closedness gate
+    |closure f| <= factor * h * |f|, where closure is (terms, n_out) of the
+    first-order operator that annihilates closed right-hand sides."""
+    rhs_norm2 = _norm2(rhs, weight, grid, grid.mask_eq)
     if closure is not None:
-        residual = math.sqrt(_report_norm2(closure(rhs), weight, grid))
+        terms, n_out = closure
+        residual = math.sqrt(_derivative_norm2(terms, unknowns, n_out, weight, grid))
         limit = CLOSEDNESS_FACTOR * grid.h * math.sqrt(rhs_norm2)
         if residual > limit:
             raise ValidationError(f"{stage} right-hand side is not closed: "
                                   f"residual {residual:.3e} exceeds {limit:.3e}")
-    dtype = complex if isinstance(rhs, ComplexForm) else float
-    # the map and its tables are released when the solve returns
+    return rhs_norm2
+
+
+def _solve_stage(stage: str, rhs: np.ndarray, rhs_norm2: float, form_type, out_degree,
+                 terms, n_in: int, c: float, bound: float, weight: Weight, grid: Grid,
+                 tol: float, maxiter: int | None):
+    """Minimum-norm solve of the first-order equation given by terms for
+    the compact right-hand side rhs on the equation nodes; the solution is
+    a form_type of out_degree, and the report's norms and ratios are
+    measured on the equation mask."""
+    dtype = complex if form_type is ComplexForm else float
+    # the map is released when the solve returns
     u, report = solve_min_norm(
-        weighted_first_order_map(grid, weight, terms, n_in, rhs.coeffs.shape[0],
+        weighted_first_order_map(grid, weight, terms, n_in, len(rhs),
                                  grid.mask_eq, grid.mask_dof, dtype=dtype),
-        grid.compact(rhs.coeffs, grid.mask_eq), tol=tol, maxiter=maxiter)
+        rhs, tol=tol, maxiter=maxiter)
     _require_converged(report, stage)
-    solution = type(rhs)(grid, out_degree, grid.expand(u, grid.mask_dof))
+    solution = form_type(grid, out_degree, grid.expand(u, grid.mask_dof))
     report.c = c
     report.rhs_norm2 = rhs_norm2
     report.solution_norm2 = _report_norm2(solution, weight, grid)
@@ -136,7 +164,12 @@ def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
     if not 0 <= p <= grid.dim - 1:
         raise ValidationError(f"degree {f.degree} outside 1..{grid.dim}")
     c = estimate_c(weight, grid.domain, grid)
-    return _solve_stage("poincare", f, calculus.d, p, calculus.d_terms(grid.dim, p),
+    closure = (calculus.d_terms(grid.dim, p + 1), num_indices(grid.dim, p + 2))
+    rhs, unknowns = _on_masks(f, grid, gated=True)
+    del f  # the stage holds its right-hand side on the mask nodes only
+    rhs_norm2 = _gated_norm2("poincare", rhs, unknowns, closure, weight, grid)
+    del unknowns
+    return _solve_stage("poincare", rhs, rhs_norm2, RealForm, p, calculus.d_terms(grid.dim, p),
                         num_indices(grid.dim, p), c, 1.0 / (c * (p + 1)),
                         weight, grid, tol, maxiter)
 
@@ -148,11 +181,19 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
     form g; the ratio is reported against 2/c_levi with c_levi = c/2."""
     if not isinstance(g, ComplexForm) or tuple(g.bidegree) != (0, 1):
         raise ValidationError("dbar solve expects a (0,1) form")
+    n = g.n
     c = estimate_c(weight, grid.domain, grid)
     c_levi = 0.5 * c
-    closure = calculus.dbar if check_closed and g.n >= 2 else None
-    return _solve_stage("dbar", g, closure, (0, 0), calculus.complex_terms(g.n, (0, 0), True),
-                        1, c, 2.0 / c_levi, weight, grid, tol, maxiter)
+    closure = None
+    if check_closed and n >= 2:
+        closure = (calculus.complex_terms(n, (0, 1), True), n_complex_coeffs(n, (0, 2)))
+    rhs, unknowns = _on_masks(g, grid, gated=closure is not None)
+    del g
+    rhs_norm2 = _gated_norm2("dbar", rhs, unknowns, closure, weight, grid)
+    del unknowns
+    return _solve_stage("dbar", rhs, rhs_norm2, ComplexForm, (0, 0),
+                        calculus.complex_terms(n, (0, 0), True), 1, c, 2.0 / c_levi,
+                        weight, grid, tol, maxiter)
 
 
 REAL_TOL = 1e-10  # realness gate: |f - conj f| <= tol * |f|, maxima over the grid
@@ -169,22 +210,28 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     """Solve i d dbar u = f for a d-closed (1,1) form f in the weighted
     space over G; u is the composition of the minimum-norm stages.
 
-    Besides f and u, the pipeline holds at most one stage's right-hand
-    side and solution and a few box components at any time: every
-    intermediate form is released once used, and the realness test, the
-    real and imaginary parts of f and the composed residual take one
-    coefficient at a time."""
+    The pipeline reads f one coefficient at a time and otherwise works on
+    compact vectors over the grid's masks.  The closedness gate, the type
+    residuals and the composed residual run on mask nodes through
+    calculus.mask_apply, the kernel of the solvers' maps, on the grid's
+    stencil tables.  Besides f and u, the pipeline holds at any time at
+    most one stage's box right-hand side and solution, each released once
+    the stage or the next step has taken it on the mask nodes; the real
+    and imaginary parts of a non-real f are built a coefficient at a time
+    when read."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
     asymmetry = _relative_asymmetry(f)
     if asymmetry <= REAL_TOL:
-        return _solve_real11(f, asymmetry, weight, grid, tol, maxiter)
+        return _solve_real11(f.coeffs.__getitem__, asymmetry, weight, grid, tol, maxiter)
     # the real part (f + conj f) / 2 and the imaginary part (f - conj f) / (2i)
     (u1, rep1), (u2, rep2) = (
         _solve_part(f, combine, scale, weight, grid, tol, maxiter)
         for combine, scale in ((np.add, 0.5), (np.subtract, -0.5j)))
     u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
-    report = _assemble_report(f, u, weight, grid, rep1.c, _report_norm2(f, weight, grid))
+    del u1, u2
+    report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid, rep1.c,
+                              _report_norm2(f, weight, grid))
     report.parts = (rep1, rep2)
     for name in ("realness", "type_residual_20", "type_residual_02"):
         setattr(report, name, max(getattr(rep1, name), getattr(rep2, name)))
@@ -194,30 +241,38 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
 def _solve_part(f: ComplexForm, combine, scale: complex, weight: Weight, grid: Grid,
                 tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
     """The three stages for the real (1,1) form scale * combine(f, conj f),
-    built one coefficient at a time and released on return."""
-    coeffs = np.empty_like(f.coeffs)
-    for k, fk in enumerate(f.coeffs):
-        combine(fk, calculus.conj_coefficient(f, k), out=coeffs[k])
-        coeffs[k] *= scale
-    part = ComplexForm(grid, (1, 1), coeffs)
-    return _solve_real11(part, _relative_asymmetry(part), weight, grid, tol, maxiter)
+    whose box coefficients are built one at a time, whenever read."""
+    def coefficient(k):
+        out = calculus.conj_coefficient(f, k)
+        combine(f.coeffs[k], out, out=out)
+        out *= scale
+        return out
+
+    asymmetry, size = bridge.coefficient_asymmetry(coefficient, f.n, (1, 1))
+    return _solve_real11(coefficient, asymmetry / size, weight, grid, tol, maxiter)
 
 
-def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
+def _solve_real11(coefficient, asymmetry: float, weight: Weight, grid: Grid,
                   tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
-    """The three stages for a real (1,1) form f, whose relative asymmetry
-    max |f - conj f| / max |f| the caller has measured; the report
-    carries it as realness."""
-    norm_f2 = _report_norm2(f, weight, grid)
-    v01, rep_p, type_residuals = _poincare_split(f, norm_f2, weight, grid, tol, maxiter)
-    # v^{0,1} is dbar-closed only up to the residual of the Poincare stage
-    w, rep_d = solve_dbar(v01, weight, grid, tol=tol, maxiter=maxiter,
-                          check_closed=False)
-    del v01  # released before the composed residual, as is w below
-    u = ComplexForm(grid, (0, 0), -1j * (w.coeffs - w.coeffs.conj()))
+    """The three stages for the real (1,1) form whose box coefficient k is
+    coefficient(k), read for its values on the mask nodes and for its real
+    2-form.  The caller has measured its relative asymmetry
+    max |f - conj f| / max |f|, which the report carries as realness."""
+    norm_f2 = _norm2(_compact11(coefficient, grid, grid.mask_eq), weight, grid, grid.mask_eq)
+    v01, rep_p, type_residuals = _poincare_split(coefficient, norm_f2, weight, grid, tol,
+                                                 maxiter)
+    # v^{0,1} is dbar-closed only up to the residual of the Poincare stage.
+    # It is popped, so that only the stage's box right-hand side outlives
+    # this line
+    w, rep_d = solve_dbar(ComplexForm(grid, (0, 1), grid.expand(v01.pop(), grid.mask_dof)),
+                          weight, grid, tol=tol, maxiter=maxiter, check_closed=False)
+    # u = -i (w - conj w) on the unknown nodes, expanded once
+    w = grid.compact(w.coeffs, grid.mask_dof)
+    u = ComplexForm(grid, (0, 0), grid.expand(-1j * (w - w.conj()), grid.mask_dof))
     del w
 
-    report = _assemble_report(f, u, weight, grid, rep_p.c, norm_f2)
+    report = _assemble_report(_compact11(coefficient, grid, grid.interior), u, weight, grid,
+                              rep_p.c, norm_f2)
     report.realness = asymmetry
     report.stage_poincare = rep_p
     report.stage_dbar = rep_d
@@ -227,43 +282,65 @@ def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
     return u, report
 
 
-def _poincare_split(f: ComplexForm, norm_f2: float, weight: Weight, grid: Grid,
+def _compact11(coefficient, grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """The (1,1) form whose box coefficient k is coefficient(k) on the
+    mask's nodes, read one coefficient at a time."""
+    n_coeffs = n_complex_coeffs(grid.dim // 2, (1, 1))
+    out = np.empty((n_coeffs, np.count_nonzero(mask)), dtype=complex)
+    for k in range(n_coeffs):
+        out[k] = grid.compact(coefficient(k)[None], mask)[0]
+    return out
+
+
+def _poincare_split(coefficient, norm_f2: float, weight: Weight, grid: Grid,
                     tol: float, maxiter: int | None):
-    """The d-stage for a real (1,1) form f and the (0,1) part of its
-    solution v; also returns the stage report and the relative norms of
-    the pure-type parts of dv, which vanish with dv - f.  The real 2-form
-    of f lives only during the solve, v only until it is split, and the
-    (1,0) part until its type residual is taken."""
-    v, rep_p = solve_poincare(bridge.real11_to_real2(f, require_real=False), weight, grid,
-                              tol=tol, maxiter=maxiter)
-    v10, v01 = bridge.split_1form(v)
+    """The d-stage for the real (1,1) form whose box coefficient k is
+    coefficient(k), and the (0,1) part of its solution v on the unknown
+    nodes, as the one item of a list; also returns the stage report and
+    the relative norms of the pure-type parts of dv, which vanish with
+    dv - f.  The real 2-form of f lives only until the stage has taken it
+    on the mask nodes, and v only until it is split there."""
+    v, rep_p = solve_poincare(bridge.real11_coefficients_to_real2(coefficient, grid), weight,
+                              grid, tol=tol, maxiter=maxiter)
+    n = grid.dim // 2
+    v10, v01 = bridge.split_1form_coeffs(grid.compact(v.coeffs, grid.mask_dof), n)
     del v
     scale = math.sqrt(norm_f2) if norm_f2 else 1.0
-    residual_20 = math.sqrt(_report_norm2(calculus.partial(v10), weight, grid)) / scale
-    del v10
-    residual_02 = math.sqrt(_report_norm2(calculus.dbar(v01), weight, grid)) / scale
-    return v01, rep_p, (residual_20, residual_02)
+    residuals = tuple(
+        math.sqrt(_derivative_norm2(calculus.complex_terms(n, bidegree, bar), part,
+                                    n_complex_coeffs(n, out), weight, grid)) / scale
+        for part, bidegree, bar, out in ((v10, (1, 0), False, (2, 0)),
+                                         (v01, (0, 1), True, (0, 2))))
+    return [v01], rep_p, residuals
 
 
-def _composed_residual2(f: ComplexForm, u: ComplexForm, weight: Weight,
-                        grid: Grid) -> float:
-    """Squared weighted norm of i partial dbar u - f over the interior,
-    built one box component of partial dbar u at a time."""
-    du = calculus.dbar(u)
-    terms = calculus.complex_terms(u.n, du.bidegree, False)
-    resid = grid.compact(f.coeffs, grid.interior)
-    for o, comp in enumerate(calculus.iter_components(terms, du.coeffs, len(resid), grid.h)):
-        resid[o] = 1j * grid.compact(comp[None], grid.interior)[0] - resid[o]
-    return float(forms.compact_inner(grid, resid, resid, weight, grid.interior).real)
+def _composed_residual(f_int: np.ndarray, u: ComplexForm, grid: Grid) -> np.ndarray:
+    """i partial dbar u - f on the interior nodes, for f given there.
+    dbar u maps the unknown nodes to the equation nodes; partial runs on
+    the same tables, on dbar u extended by zero to the unknown nodes, and
+    keeps the interior rows, whose neighbours are all equation nodes."""
+    n = grid.dim // 2
+    eq, dof = grid.mask_eq, grid.mask_dof
+    du = calculus.mask_apply(grid, calculus.complex_terms(n, (0, 0), True),
+                             grid.compact(u.coeffs, dof), n, eq, dof)
+    ddu = calculus.mask_apply(grid, calculus.complex_terms(n, (0, 1), False),
+                              grid.extend(du, eq, dof), n_complex_coeffs(n, (1, 1)), eq, dof)
+    resid = grid.restrict(ddu, eq, grid.interior)
+    resid *= 1j
+    resid -= f_int
+    return resid
 
 
-def _assemble_report(f: ComplexForm, u: ComplexForm, weight: Weight, grid: Grid,
+def _assemble_report(f_int: np.ndarray, u: ComplexForm, weight: Weight, grid: Grid,
                      c: float, norm_f2: float) -> PipelineReport:
+    """The pipeline report of u for f given on the interior nodes (f_int)
+    and its norm norm_f2 over the equation mask."""
     # the composed second-order residual is only equation-controlled on the
     # interior mask (one ring inside the dbar-stage equation mask)
-    norm_f2_int = _checked_norm2(f, weight, grid.interior)
-    residual = (math.sqrt(_composed_residual2(f, u, weight, grid) / norm_f2_int)
-                if norm_f2_int else 0.0)
+    norm_f2_int = _norm2(f_int, weight, grid, grid.interior)
+    resid = _composed_residual(f_int, u, grid)
+    residual2 = float(forms.compact_inner(grid, resid, resid, weight, grid.interior).real)
+    residual = math.sqrt(residual2 / norm_f2_int) if norm_f2_int else 0.0
     norm_u2 = _report_norm2(u, weight, grid)
     return PipelineReport(
         c=c, c_levi=0.5 * c,

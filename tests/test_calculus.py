@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pellel as pl
-from pellel import bridge, calculus as calc
+from pellel import bridge, calculus as calc, pipeline
 from pellel.domain import _dilate
 from pellel.errors import ValidationError
 
@@ -215,3 +215,81 @@ def test_d_on_scalars_matches_join(disk_grid_coarse, rng):
     uc = pl.ComplexForm(g, (0, 0), u.coeffs.astype(complex))
     du = bridge.join_1form(calc.partial(uc), calc.dbar(uc))
     assert np.abs(du.coeffs - calc.d(u).coeffs).max() == 0.0
+
+
+def _pipeline_grids():
+    return {"disk": pl.build_grid(pl.Domain.ball(1.0), 1 / 16),
+            "ball4": pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)}
+
+
+_PIPELINE_GRIDS = _pipeline_grids()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "nonreal"])
+@pytest.mark.parametrize("name", list(_PIPELINE_GRIDS))
+def test_mask_apply_matches_box_operators_of_the_pipeline(name, real, rng):
+    # the closedness gate, the two type residuals and the composed residual
+    # i partial dbar u - f, on compact vectors, against the box operators
+    # read on the mask; the error is measured against the input scale
+    grid = _PIPELINE_GRIDS[name]
+    interior, eq, dof = grid.interior, grid.mask_eq, grid.mask_dof
+    # every neighbour of a row node is a column node
+    assert not (_dilate(interior) & ~eq).any() and not (_dilate(eq) & ~dof).any()
+    n, dim, h = grid.dim // 2, grid.dim, grid.h
+
+    def check(terms, box_in, box_out, rows, cols, order=1):
+        got = calc.mask_apply(grid, terms, grid.compact(box_in, cols), len(box_out), rows, cols)
+        scale = np.abs(box_in).max() / h ** order
+        # in C^1 the gate and the (2,0) part have no components
+        assert np.abs(got - grid.compact(box_out, rows)).max(initial=0.0) <= 1e-14 * scale
+        return got
+
+    def random_form(cls, deg):
+        form = cls.zeros(grid, deg)
+        form.coeffs[...] = rng.standard_normal(form.coeffs.shape)
+        if cls is pl.ComplexForm:
+            form.coeffs += 1j * rng.standard_normal(form.coeffs.shape)
+        return form
+
+    f = random_form(pl.ComplexForm, (1, 1))
+    f = f if not real else 0.5 * (f + calc.conj_form(f))
+    parts = [f] if real else [0.5 * (f + calc.conj_form(f)), -0.5j * (f - calc.conj_form(f))]
+    for part in parts:
+        f2 = bridge.real11_to_real2(part)
+        check(calc.d_terms(dim, 2), f2.coeffs, calc.d(f2).coeffs, eq, dof)
+    v10, v01 = bridge.split_1form(random_form(pl.RealForm, 1))
+    check(calc.complex_terms(n, (1, 0), False), v10.coeffs, calc.partial(v10).coeffs, eq, dof)
+    check(calc.complex_terms(n, (0, 1), True), v01.coeffs, calc.dbar(v01).coeffs, eq, dof)
+    w = random_form(pl.ComplexForm, (0, 0))
+    u = pl.ComplexForm(grid, (0, 0), -1j * (w.coeffs - w.coeffs.conj()) if real else w.coeffs)
+    du = calc.dbar(u)
+    check(calc.complex_terms(n, (0, 0), True), u.coeffs, du.coeffs, eq, dof)
+    box = grid.compact(1j * calc.partial(du).coeffs - f.coeffs, interior)
+    resid = pipeline._composed_residual(grid.compact(f.coeffs, interior), u, grid)
+    scale = max(np.abs(u.coeffs).max() / h ** 2, np.abs(f.coeffs).max())
+    assert np.abs(resid - box).max() <= 1e-14 * scale
+
+
+def test_t_star_discrete_on_a_custom_mask(monkeypatch, disk_grid_coarse, gauss2, rng):
+    # a mask that is not one of the grid's own builds its stencil tables on
+    # every call, and the adjoint stays exact on it
+    g = disk_grid_coarse
+    mask = g.interior & (g.coords[0] > 0.1 * g.coords[1])
+    dof = _dilate(mask)
+    built = []
+    mask_stencils = calc.mask_stencils
+
+    def counted(rows, cols, h, transpose=False):
+        built.append(transpose)
+        return mask_stencils(rows, cols, h, transpose)
+
+    monkeypatch.setattr(calc, "mask_stencils", counted)
+    worst = 0.0
+    for _ in range(3):
+        u = pl.RealForm(g, 0, rng.standard_normal((1,) + g.shape) * dof)
+        a = pl.RealForm(g, 1, rng.standard_normal((2,) + g.shape))
+        lhs = pl.weighted_inner(calc.d(u), a, gauss2, mask)
+        rhs = pl.weighted_inner(u, calc.t_star_discrete(a, gauss2, mask), gauss2, dof)
+        worst = max(worst, abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300))
+    assert worst <= 1e-12
+    assert built == [False, True] * 3

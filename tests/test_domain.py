@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import pellel as pl
+from pellel import calculus as calc
 from pellel.errors import ResolutionError, UnsupportedDomainError, ValidationError
 
 
@@ -270,6 +271,43 @@ def test_mask_nodes_searched_once_per_grid(monkeypatch, rng):
     # the cache relies on the grid's masks staying as built
     with pytest.raises(ValueError):
         grid.mask_eq[0, 0] = True
+
+
+def test_grid_keeps_weight_values_and_stencils_of_its_own_masks():
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
+    w, other = pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
+    kept = grid.weight_values(w, grid.mask_eq)
+    assert grid.weight_values(w, grid.mask_eq) is kept and not kept.flags.writeable
+    assert np.array_equal(kept, np.exp(-w.phi(grid.coords[:, grid.mask_eq])))
+    # the last weight asked for is kept, per mask
+    assert np.array_equal(grid.weight_values(other, grid.mask_eq),
+                          np.exp(-other.phi(grid.coords[:, grid.mask_eq])))
+    assert grid.weight_values(w, grid.mask_eq) is not kept
+    mask = grid.mask_eq.copy()
+    assert grid.weight_values(w, mask) is not grid.weight_values(w, mask)
+    # stencil tables: one set per (row mask, column mask, transpose) of the
+    # grid's own masks, equal to a fresh build; other masks build each call
+    tables = grid.stencils(grid.mask_eq, grid.mask_dof)
+    assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
+    assert grid.stencils(grid.mask_dof, grid.mask_eq, transpose=True) is not tables
+    fresh = calc.mask_stencils(grid.mask_eq, grid.mask_dof, grid.h)
+    for axis, fresh_axis in zip(tables, fresh):
+        for (index, coef), (fresh_index, fresh_coef) in zip(axis, fresh_axis):
+            assert np.array_equal(index, fresh_index) and np.array_equal(coef, fresh_coef)
+    assert grid.stencils(mask, grid.mask_dof) is not grid.stencils(mask, grid.mask_dof)
+
+
+def test_restrict_and_extend_between_nested_masks(rng):
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4)
+    a = rng.standard_normal((3,) + grid.shape)
+    for sub, mask in ((grid.interior, grid.mask_eq), (grid.mask_eq, grid.mask_dof),
+                      (grid.interior, grid.mask_dof)):
+        on_sub, on_mask = grid.compact(a, sub), grid.compact(a, mask)
+        assert np.array_equal(grid.restrict(on_mask, mask, sub), on_sub)
+        assert np.array_equal(grid.extend(on_sub, sub, mask),
+                              grid.compact(np.where(sub, a, 0.0), mask))
+    with pytest.raises(ValidationError, match="outside the mask"):
+        grid.restrict(grid.compact(a, grid.mask_eq), grid.mask_eq, grid.mask_dof)
 
 
 @pytest.mark.parametrize("dim, h", [(2, 1 / 64), (4, 1 / 8)], ids=["2d", "4d"])

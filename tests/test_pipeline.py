@@ -1,5 +1,6 @@
 import json
 import logging
+import sys
 import time
 import tracemalloc
 
@@ -176,7 +177,7 @@ def test_underflowing_norms_raise():
     # the interior-mask norm of the composed residual check
     u = pl.ComplexForm.zeros(grid, (0, 0))
     with pytest.raises(ValidationError, match="underflows"):
-        pipeline._assemble_report(f, u, w, grid, 2.0, 1.0)
+        pipeline._assemble_report(grid.compact(f.coeffs, grid.interior), u, w, grid, 2.0, 1.0)
 
 
 def test_pipeline_rejects_wrong_bidegree(disk_grid_coarse, gauss2):
@@ -241,10 +242,18 @@ def test_each_stage_logs_one_record(caplog, disk_grid_coarse, gauss2):
 
 
 # peak traced bytes of one solve_poincare_lelong call over the bytes of f,
-# which the caller holds; 1.56 and 2.81 measured, 3.26 and 6.51 while the
-# pipeline kept whole-box temporaries alive
-@pytest.mark.parametrize("real, bound", [(True, 2.0), (False, 3.0)], ids=["real", "nonreal"])
-def test_c2_pipeline_peak_memory(real, bound):
+# which the caller holds: 1.02 and 1.80 measured (1.60 and 2.86 while the
+# gates and residuals ran box operators, 3.26 and 6.51 while the pipeline
+# kept whole-box temporaries alive); the bounds keep the earlier relative
+# slack.  Each stage releases its box right-hand side once it has taken it
+# on the mask nodes.  CPython 3.11 and later hand a call's temporary
+# arguments over to the callee, but CPython 3.10 keeps them on the
+# caller's stack until the call returns, which leaves the real 2-form of f
+# alive through the d-stage there (about 1.77 and 2.04 with the stage
+# arguments held that long), so 3.10 keeps the earlier bounds
+@pytest.mark.parametrize("real, bound, bound_310", [(True, 1.31, 2.0), (False, 1.93, 3.0)],
+                         ids=["real", "nonreal"])
+def test_c2_pipeline_peak_memory(real, bound, bound_310):
     grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 6)
     f = pl.standard_11_form(grid)
     if not real:
@@ -258,7 +267,65 @@ def test_c2_pipeline_peak_memory(real, bound):
     finally:
         tracemalloc.stop()
     assert (rep.parts is None) == real
-    assert peak <= bound * f.coeffs.nbytes
+    assert peak <= (bound if sys.version_info >= (3, 11) else bound_310) * f.coeffs.nbytes
+
+
+def _pipeline_cases():
+    return {"disk": (pl.build_grid(pl.Domain.ball(1.0), 1 / 16), pl.Weight.abs2(2)),
+            "ball4": (pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 4), pl.Weight.abs2(4))}
+
+
+@pytest.mark.parametrize("name", ["disk", "ball4"])
+def test_stencil_tables_built_once_per_mask_pair(monkeypatch, name):
+    grid, weight = _pipeline_cases()[name]
+    names = {id(grid.interior): "interior", id(grid.mask_eq): "eq", id(grid.mask_dof): "dof"}
+    built, diffs = [], []
+    mask_stencils, diff_axis = calc.mask_stencils, calc.diff_axis
+
+    def counted_tables(rows, cols, h, transpose=False):
+        built.append((names[id(rows)], names[id(cols)], transpose))
+        return mask_stencils(rows, cols, h, transpose)
+
+    def counted_diff(*args, **kwargs):
+        diffs.append(args[1])
+        return diff_axis(*args, **kwargs)
+
+    monkeypatch.setattr(calc, "mask_stencils", counted_tables)
+    monkeypatch.setattr(calc, "diff_axis", counted_diff)
+    f = pl.standard_11_form(grid)
+    _, first = pl.solve_poincare_lelong(f, weight, grid)
+    # both stage maps, the gates and the residuals share the
+    # unknown-to-equation tables, the adjoints their transpose
+    assert sorted(built) == [("dof", "eq", True), ("eq", "dof", False)]
+    assert len(diffs) == grid.dim  # the rows of the forward tables
+    del built[:], diffs[:]
+    _, second = pl.solve_poincare_lelong(f, weight, grid)
+    assert built == [] and diffs == []
+    assert second.ratio == first.ratio and second.residual == first.residual
+
+
+def test_report_norms_evaluate_the_weight_once_per_mask(disk_grid_coarse):
+    grid = disk_grid_coarse
+    abs2 = pl.Weight.abs2(2)
+    sizes = {int(m.sum()): name for name, m in (("interior", grid.interior),
+                                                ("eq", grid.mask_eq), ("dof", grid.mask_dof))}
+    calls = []
+
+    def phi(points):
+        calls.append(sizes.get(points[0].size, "other"))
+        return abs2.phi(points)
+
+    weight = pl.Weight("quadratic", phi, abs2.grad, abs2.hess, matrix=abs2.matrix)
+    f = pl.standard_11_form(grid)
+    _, first = pl.solve_poincare_lelong(f, weight, grid)
+    # each stage map evaluates phi on its two masks for its own shifted
+    # weights; the report norms take exp(-phi) once per mask of the grid
+    assert sorted(calls) == ["dof", "dof", "eq", "eq", "eq", "interior"]
+    del calls[:]
+    _, second = pl.solve_poincare_lelong(f, weight, grid)
+    assert sorted(calls) == ["dof", "dof", "eq", "eq"]
+    for name in ("norm_f2", "norm_u2", "ratio", "residual", "type_residual_02"):
+        assert getattr(second, name) == getattr(first, name)
 
 
 def test_report_serializes(disk_grid_coarse, gauss2):
