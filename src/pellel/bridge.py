@@ -28,22 +28,11 @@ def _to_real(*parts: ComplexForm) -> RealForm:
     the total degree p+q."""
     g = RealForm.zeros(parts[0].grid, sum(parts[0].bidegree))
     for f in parts:
-        _add_real_part(g.coeffs, f.n, f.bidegree, f.coeffs.__getitem__)
-    return g
-
-
-def _add_real_part(g: np.ndarray, n: int, bidegree: tuple[int, int], coefficient) -> None:
-    """Add to the real coefficients g the real part of the expansion of
-    the (p,q) form over C^n whose coefficient k is coefficient(k), read
-    once per k.  Each real coefficient takes at most two entries, so the
-    order of the reads leaves every sum as it is."""
-    entries = real_expansion(n, bidegree)
-    for k in sorted({k for _, k, _ in entries}):
-        fk = coefficient(k)
         # every entry is real or imaginary: a real multiindex fixes how many
         # factors i the expansion picks
-        for r, _, e in (entry for entry in entries if entry[1] == k):
-            g[r] += e.real * fk.real if e.real else -e.imag * fk.imag
+        for r, k, e in real_expansion(f.n, f.bidegree):
+            g.coeffs[r] += e.real * f.coeffs[k].real if e.real else -e.imag * f.coeffs[k].imag
+    return g
 
 
 def _from_real(g: np.ndarray, n: int, bidegree: tuple[int, int]) -> np.ndarray:
@@ -63,19 +52,9 @@ def _asymmetry(f: ComplexForm) -> tuple[float, float]:
     largest |f|; f is real to tolerance tol when the first is at most tol
     times the second.  Each coefficient is compared with its conjugate
     partner alone, so the test holds one box component at a time."""
-    return coefficient_asymmetry(f.coeffs.__getitem__, f.n, f.bidegree)
-
-
-def coefficient_asymmetry(coefficient, n: int, bidegree: tuple[int, int]) -> tuple[float, float]:
-    """_asymmetry of the (p,q) form over C^n whose coefficient k is
-    coefficient(k), for callers that build coefficients on demand."""
-    sources, sign = calculus.conj_layout(n, bidegree)
     asym, scale = [], []
-    for k, source in enumerate(sources):
-        fk = coefficient(k)
-        diff = np.conj(coefficient(source))
-        if sign < 0:
-            np.negative(diff, out=diff)
+    for k, fk in enumerate(f.coeffs):
+        diff = calculus.conj_coefficient(f, k)
         np.subtract(fk, diff, out=diff)
         asym.append(np.abs(diff).max())
         scale.append(np.abs(fk).max())
@@ -98,15 +77,6 @@ def real11_to_real2(f: ComplexForm, require_real: bool = True,
             raise ValidationError(
                 f"(1,1) form is not real: max asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
     return _to_real(f)
-
-
-def real11_coefficients_to_real2(coefficient, grid) -> RealForm:
-    """The real 2-form of the real (1,1) form on grid whose box coefficient
-    k is coefficient(k): real11_to_real2 without the realness test, reading
-    each coefficient once, so a caller can build them one at a time."""
-    g = RealForm.zeros(grid, 2)
-    _add_real_part(g.coeffs, grid.dim // 2, (1, 1), coefficient)
-    return g
 
 
 def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:

@@ -14,6 +14,7 @@ Hessians.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -177,8 +178,8 @@ class Grid:
                  the minimum-norm objective is measured.
 
     build_grid makes the three masks read-only: the grid derives their
-    node indices and the stencil tables between them once, and keeps
-    exp(-phi) on each for the last weight asked for.
+    node indices once, keeps exp(-phi) on each for the last weight asked
+    for, and shares the stencil tables between them within a solve.
     """
 
     domain: Domain
@@ -221,7 +222,8 @@ class Grid:
     @cached_property
     def _cache(self) -> dict:
         """What the grid derives from its own masks, built on first use:
-        node indices, stencil tables and the last weight's exp(-phi)."""
+        node indices, the last weight's exp(-phi) and, within a solve, the
+        stencil tables."""
         return {}
 
     def _cached(self, key: tuple, build, *args):
@@ -241,13 +243,33 @@ class Grid:
 
     def stencils(self, row_mask: np.ndarray, col_mask: np.ndarray,
                  transpose: bool = False) -> list[list[tuple]]:
-        """calculus.mask_stencils(row_mask, col_mask, h, transpose), built
-        once per grid when both masks are the grid's own; any other mask
-        pair is built on every call.  The tables depend on the masks and
-        h only, so every map and compact operator on the grid shares them."""
+        """calculus.mask_stencils(row_mask, col_mask, h, transpose).  Inside
+        a sharing_stencils block each pair of the grid's own masks is built
+        once; any other mask pair, and every pair outside such a block, is
+        built on every call.  The tables depend on the masks and h only."""
         from . import calculus
-        key = ("stencils", self._own(row_mask), self._own(col_mask), transpose)
-        return self._cached(key, calculus.mask_stencils, row_mask, col_mask, self.h, transpose)
+        kept = self._cache.get("stencils")
+        key = (self._own(row_mask), self._own(col_mask), transpose)
+        if kept is None or None in key:
+            return calculus.mask_stencils(row_mask, col_mask, self.h, transpose)
+        if key not in kept:
+            kept[key] = calculus.mask_stencils(row_mask, col_mask, self.h, transpose)
+        return kept[key]
+
+    @contextmanager
+    def sharing_stencils(self):
+        """One solve's maps, gates and residuals share the stencil tables
+        of the grid's own masks inside this block.  The outermost block
+        drops them on exit, so a grid holds no tables between solves
+        (they take about 6 MB in 4-D at h = 1/8)."""
+        if "stencils" in self._cache:
+            yield
+            return
+        self._cache["stencils"] = {}
+        try:
+            yield
+        finally:
+            del self._cache["stencils"]
 
     def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous

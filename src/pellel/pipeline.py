@@ -167,11 +167,12 @@ def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
     closure = (calculus.d_terms(grid.dim, p + 1), num_indices(grid.dim, p + 2))
     rhs, unknowns = _on_masks(f, grid, gated=True)
     del f  # the stage holds its right-hand side on the mask nodes only
-    rhs_norm2 = _gated_norm2("poincare", rhs, unknowns, closure, weight, grid)
-    del unknowns
-    return _solve_stage("poincare", rhs, rhs_norm2, RealForm, p, calculus.d_terms(grid.dim, p),
-                        num_indices(grid.dim, p), c, 1.0 / (c * (p + 1)),
-                        weight, grid, tol, maxiter)
+    with grid.sharing_stencils():  # the gate and the map share the tables
+        rhs_norm2 = _gated_norm2("poincare", rhs, unknowns, closure, weight, grid)
+        del unknowns
+        return _solve_stage("poincare", rhs, rhs_norm2, RealForm, p,
+                            calculus.d_terms(grid.dim, p), num_indices(grid.dim, p), c,
+                            1.0 / (c * (p + 1)), weight, grid, tol, maxiter)
 
 
 def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
@@ -189,11 +190,12 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
         closure = (calculus.complex_terms(n, (0, 1), True), n_complex_coeffs(n, (0, 2)))
     rhs, unknowns = _on_masks(g, grid, gated=closure is not None)
     del g
-    rhs_norm2 = _gated_norm2("dbar", rhs, unknowns, closure, weight, grid)
-    del unknowns
-    return _solve_stage("dbar", rhs, rhs_norm2, ComplexForm, (0, 0),
-                        calculus.complex_terms(n, (0, 0), True), 1, c, 2.0 / c_levi,
-                        weight, grid, tol, maxiter)
+    with grid.sharing_stencils():
+        rhs_norm2 = _gated_norm2("dbar", rhs, unknowns, closure, weight, grid)
+        del unknowns
+        return _solve_stage("dbar", rhs, rhs_norm2, ComplexForm, (0, 0),
+                            calculus.complex_terms(n, (0, 0), True), 1, c, 2.0 / c_levi,
+                            weight, grid, tol, maxiter)
 
 
 REAL_TOL = 1e-10  # realness gate: |f - conj f| <= tol * |f|, maxima over the grid
@@ -210,28 +212,26 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     """Solve i d dbar u = f for a d-closed (1,1) form f in the weighted
     space over G; u is the composition of the minimum-norm stages.
 
-    The pipeline reads f one coefficient at a time and otherwise works on
-    compact vectors over the grid's masks.  The closedness gate, the type
-    residuals and the composed residual run on mask nodes through
-    calculus.mask_apply, the kernel of the solvers' maps, on the grid's
-    stencil tables.  Besides f and u, the pipeline holds at any time at
-    most one stage's box right-hand side and solution, each released once
-    the stage or the next step has taken it on the mask nodes; the real
-    and imaginary parts of a non-real f are built a coefficient at a time
-    when read."""
+    Outside the two stage solves the pipeline works on compact vectors
+    over the grid's masks.  The closedness gate, the type residuals and
+    the composed residual run on mask nodes through calculus.mask_apply,
+    the kernel of the solvers' maps, and all of them share one set of
+    stencil tables per mask pair for the call.  Each stage releases its
+    box right-hand side once it has taken it on the mask nodes."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
-    asymmetry = _relative_asymmetry(f)
-    if asymmetry <= REAL_TOL:
-        return _solve_real11(f.coeffs.__getitem__, asymmetry, weight, grid, tol, maxiter)
-    # the real part (f + conj f) / 2 and the imaginary part (f - conj f) / (2i)
-    (u1, rep1), (u2, rep2) = (
-        _solve_part(f, combine, scale, weight, grid, tol, maxiter)
-        for combine, scale in ((np.add, 0.5), (np.subtract, -0.5j)))
-    u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
-    del u1, u2
-    report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid, rep1.c,
-                              _report_norm2(f, weight, grid))
+    with grid.sharing_stencils():
+        asymmetry = _relative_asymmetry(f)
+        if asymmetry <= REAL_TOL:
+            return _solve_real11(f, asymmetry, weight, grid, tol, maxiter)
+        # the real part (f + conj f) / 2 and the imaginary part (f - conj f) / (2i)
+        (u1, rep1), (u2, rep2) = (
+            _solve_part(f, combine, scale, weight, grid, tol, maxiter)
+            for combine, scale in ((np.add, 0.5), (np.subtract, -0.5j)))
+        u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
+        del u1, u2
+        report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid,
+                                  rep1.c, _report_norm2(f, weight, grid))
     report.parts = (rep1, rep2)
     for name in ("realness", "type_residual_20", "type_residual_02"):
         setattr(report, name, max(getattr(rep1, name), getattr(rep2, name)))
@@ -241,37 +241,35 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
 def _solve_part(f: ComplexForm, combine, scale: complex, weight: Weight, grid: Grid,
                 tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
     """The three stages for the real (1,1) form scale * combine(f, conj f),
-    whose box coefficients are built one at a time, whenever read."""
-    def coefficient(k):
-        out = calculus.conj_coefficient(f, k)
-        combine(f.coeffs[k], out, out=out)
-        out *= scale
-        return out
-
-    asymmetry, size = bridge.coefficient_asymmetry(coefficient, f.n, (1, 1))
-    return _solve_real11(coefficient, asymmetry / size, weight, grid, tol, maxiter)
+    built one coefficient at a time and released on return."""
+    coeffs = np.empty_like(f.coeffs)
+    for k, fk in enumerate(f.coeffs):
+        combine(fk, calculus.conj_coefficient(f, k), out=coeffs[k])
+        coeffs[k] *= scale
+    part = ComplexForm(grid, (1, 1), coeffs)
+    return _solve_real11(part, _relative_asymmetry(part), weight, grid, tol, maxiter)
 
 
-def _solve_real11(coefficient, asymmetry: float, weight: Weight, grid: Grid,
+def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
                   tol: float, maxiter: int | None) -> tuple[ComplexForm, PipelineReport]:
-    """The three stages for the real (1,1) form whose box coefficient k is
-    coefficient(k), read for its values on the mask nodes and for its real
-    2-form.  The caller has measured its relative asymmetry
-    max |f - conj f| / max |f|, which the report carries as realness."""
-    norm_f2 = _norm2(_compact11(coefficient, grid, grid.mask_eq), weight, grid, grid.mask_eq)
-    v01, rep_p, type_residuals = _poincare_split(coefficient, norm_f2, weight, grid, tol,
-                                                 maxiter)
+    """The three stages for a real (1,1) form f, whose relative asymmetry
+    max |f - conj f| / max |f| the caller has measured; the report
+    carries it as realness."""
+    norm_f2 = _report_norm2(f, weight, grid)
+    v01, rep_p, type_residuals = _poincare_split(f, norm_f2, weight, grid, tol, maxiter)
     # v^{0,1} is dbar-closed only up to the residual of the Poincare stage.
-    # It is popped, so that only the stage's box right-hand side outlives
-    # this line
-    w, rep_d = solve_dbar(ComplexForm(grid, (0, 1), grid.expand(v01.pop(), grid.mask_dof)),
+    # Its box form is passed as a temporary, so that the stage can release
+    # it once taken on the mask nodes; the compact v01 stays alive through
+    # the stage (in 2-D about the size of one box component)
+    w, rep_d = solve_dbar(ComplexForm(grid, (0, 1), grid.expand(v01, grid.mask_dof)),
                           weight, grid, tol=tol, maxiter=maxiter, check_closed=False)
+    del v01
     # u = -i (w - conj w) on the unknown nodes, expanded once
     w = grid.compact(w.coeffs, grid.mask_dof)
     u = ComplexForm(grid, (0, 0), grid.expand(-1j * (w - w.conj()), grid.mask_dof))
     del w
 
-    report = _assemble_report(_compact11(coefficient, grid, grid.interior), u, weight, grid,
+    report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid,
                               rep_p.c, norm_f2)
     report.realness = asymmetry
     report.stage_poincare = rep_p
@@ -282,26 +280,15 @@ def _solve_real11(coefficient, asymmetry: float, weight: Weight, grid: Grid,
     return u, report
 
 
-def _compact11(coefficient, grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """The (1,1) form whose box coefficient k is coefficient(k) on the
-    mask's nodes, read one coefficient at a time."""
-    n_coeffs = n_complex_coeffs(grid.dim // 2, (1, 1))
-    out = np.empty((n_coeffs, np.count_nonzero(mask)), dtype=complex)
-    for k in range(n_coeffs):
-        out[k] = grid.compact(coefficient(k)[None], mask)[0]
-    return out
-
-
-def _poincare_split(coefficient, norm_f2: float, weight: Weight, grid: Grid,
+def _poincare_split(f: ComplexForm, norm_f2: float, weight: Weight, grid: Grid,
                     tol: float, maxiter: int | None):
-    """The d-stage for the real (1,1) form whose box coefficient k is
-    coefficient(k), and the (0,1) part of its solution v on the unknown
-    nodes, as the one item of a list; also returns the stage report and
-    the relative norms of the pure-type parts of dv, which vanish with
-    dv - f.  The real 2-form of f lives only until the stage has taken it
-    on the mask nodes, and v only until it is split there."""
-    v, rep_p = solve_poincare(bridge.real11_coefficients_to_real2(coefficient, grid), weight,
-                              grid, tol=tol, maxiter=maxiter)
+    """The d-stage for a real (1,1) form f and the (0,1) part of its
+    solution v on the unknown nodes; also returns the stage report and the
+    relative norms of the pure-type parts of dv, which vanish with dv - f.
+    The real 2-form of f is a temporary that the stage releases once taken
+    on the mask nodes, and v lives only until it is split there."""
+    v, rep_p = solve_poincare(bridge.real11_to_real2(f, require_real=False), weight, grid,
+                              tol=tol, maxiter=maxiter)
     n = grid.dim // 2
     v10, v01 = bridge.split_1form_coeffs(grid.compact(v.coeffs, grid.mask_dof), n)
     del v
@@ -311,7 +298,7 @@ def _poincare_split(coefficient, norm_f2: float, weight: Weight, grid: Grid,
                                     n_complex_coeffs(n, out), weight, grid)) / scale
         for part, bidegree, bar, out in ((v10, (1, 0), False, (2, 0)),
                                          (v01, (0, 1), True, (0, 2))))
-    return [v01], rep_p, residuals
+    return v01, rep_p, residuals
 
 
 def _composed_residual(f_int: np.ndarray, u: ComplexForm, grid: Grid) -> np.ndarray:

@@ -273,7 +273,7 @@ def test_mask_nodes_searched_once_per_grid(monkeypatch, rng):
         grid.mask_eq[0, 0] = True
 
 
-def test_grid_keeps_weight_values_and_stencils_of_its_own_masks():
+def test_grid_keeps_weight_values_and_shares_stencils_of_its_own_masks():
     grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
     w, other = pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
     kept = grid.weight_values(w, grid.mask_eq)
@@ -285,16 +285,24 @@ def test_grid_keeps_weight_values_and_stencils_of_its_own_masks():
     assert grid.weight_values(w, grid.mask_eq) is not kept
     mask = grid.mask_eq.copy()
     assert grid.weight_values(w, mask) is not grid.weight_values(w, mask)
-    # stencil tables: one set per (row mask, column mask, transpose) of the
-    # grid's own masks, equal to a fresh build; other masks build each call
-    tables = grid.stencils(grid.mask_eq, grid.mask_dof)
-    assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
-    assert grid.stencils(grid.mask_dof, grid.mask_eq, transpose=True) is not tables
+    # stencil tables: inside a (nested) sharing block, one set per (row
+    # mask, column mask, transpose) of the grid's own masks, equal to a
+    # fresh build; other masks, and every pair outside a block, build each
+    # call
+    assert grid.stencils(grid.mask_eq, grid.mask_dof) is not grid.stencils(grid.mask_eq,
+                                                                           grid.mask_dof)
+    with grid.sharing_stencils():
+        tables = grid.stencils(grid.mask_eq, grid.mask_dof)
+        with grid.sharing_stencils():
+            assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
+        assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
+        assert grid.stencils(grid.mask_dof, grid.mask_eq, transpose=True) is not tables
+        assert grid.stencils(mask, grid.mask_dof) is not grid.stencils(mask, grid.mask_dof)
+    assert grid.stencils(grid.mask_eq, grid.mask_dof) is not tables
     fresh = calc.mask_stencils(grid.mask_eq, grid.mask_dof, grid.h)
     for axis, fresh_axis in zip(tables, fresh):
         for (index, coef), (fresh_index, fresh_coef) in zip(axis, fresh_axis):
             assert np.array_equal(index, fresh_index) and np.array_equal(coef, fresh_coef)
-    assert grid.stencils(mask, grid.mask_dof) is not grid.stencils(mask, grid.mask_dof)
 
 
 def test_restrict_and_extend_between_nested_masks(rng):
