@@ -138,10 +138,11 @@ class RunConfig:
         for name in ("h", "margin", "tol", "slack"):
             if not _is_number(getattr(self, name)):
                 raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
-        for name in ("maxiter", "seed"):
-            value = getattr(self, name)
-            if not (_is_number(value, int) or name == "maxiter" and value is None):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+        if not (self.maxiter is None or _is_count(self.maxiter)):
+            raise ValidationError(
+                f"maxiter must be null or a positive integer, got {self.maxiter!r}")
+        if not (_is_number(self.seed, int) and self.seed >= 0):
+            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if self.h_values is not None and not _is_numbers(self.h_values):
             raise ValidationError(
                 f"h_values must be a nonempty list of numbers, got {self.h_values!r}")
@@ -245,8 +246,7 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
     else:
         raise ValidationError(f"unsupported single-run mode {mode!r}")
 
-    return {"row": row, "checks": checks, "detail": rep.to_dict(), "solution": u,
-            "grid": grid}
+    return {"row": row, "checks": checks, "detail": rep.to_dict(), "solution": u}
 
 
 def _verify_run(cfg: RunConfig) -> dict:

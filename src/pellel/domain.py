@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -177,9 +176,10 @@ class Grid:
     mask_dof     mask_eq dilated once more; where solver unknowns live and
                  the minimum-norm objective is measured.
 
-    build_grid makes the three masks read-only: the grid derives their
-    node indices once, keeps exp(-phi) on each for the last weight asked
-    for, and shares the stencil tables between them within a solve.
+    build_grid makes the three masks read-only.  Inside a sharing() block,
+    which every solver opens, the node indices of each, the stencil tables
+    between them and phi and exp(-phi) on each per weight are built once;
+    the grid keeps none of them between blocks.
     """
 
     domain: Domain
@@ -219,57 +219,58 @@ class Grid:
                 return name
         return None
 
-    @cached_property
-    def _cache(self) -> dict:
-        """What the grid derives from its own masks, built on first use:
-        node indices, the last weight's exp(-phi) and, within a solve, the
-        stencil tables."""
-        return {}
-
-    def _cached(self, key: tuple, build, *args):
-        """build(*args), kept under key unless key names a mask that is not
-        the grid's own (None)."""
-        if None in key:
-            return build(*args)
-        if key not in self._cache:
-            self._cache[key] = build(*args)
-        return self._cache[key]
-
-    def _nodes(self, mask: np.ndarray) -> np.ndarray:
-        """Flat box indices of the mask's nodes, ascending.  Computed once
-        per grid for its own interior, mask_eq and mask_dof; any other
-        mask is searched on every call."""
-        return self._cached(("nodes", self._own(mask)), np.flatnonzero, mask)
-
-    def stencils(self, row_mask: np.ndarray, col_mask: np.ndarray,
-                 transpose: bool = False) -> list[list[tuple]]:
-        """calculus.mask_stencils(row_mask, col_mask, h, transpose).  Inside
-        a sharing_stencils block each pair of the grid's own masks is built
-        once; any other mask pair, and every pair outside such a block, is
-        built on every call.  The tables depend on the masks and h only."""
-        from . import calculus
-        kept = self._cache.get("stencils")
-        key = (self._own(row_mask), self._own(col_mask), transpose)
-        if kept is None or None in key:
-            return calculus.mask_stencils(row_mask, col_mask, self.h, transpose)
-        if key not in kept:
-            kept[key] = calculus.mask_stencils(row_mask, col_mask, self.h, transpose)
-        return kept[key]
-
     @contextmanager
-    def sharing_stencils(self):
-        """One solve's maps, gates and residuals share the stencil tables
-        of the grid's own masks inside this block.  The outermost block
-        drops them on exit, so a grid holds no tables between solves
-        (they take about 6 MB in 4-D at h = 1/8)."""
-        if "stencils" in self._cache:
+    def sharing(self):
+        """Inside this block, everything the grid derives from its own masks
+        (node indices, stencil tables, phi and exp(-phi) per weight) is built
+        once; outside it, and for any other mask, it is built on every call.
+        Nested blocks share the outermost, which drops it all on exit, so a
+        grid holds nothing between solves."""
+        if "_shared" in self.__dict__:
             yield
             return
-        self._cache["stencils"] = {}
+        self.__dict__["_shared"] = {}  # the dataclass is frozen
         try:
             yield
         finally:
-            del self._cache["stencils"]
+            del self.__dict__["_shared"]
+
+    def _derived(self, key: tuple, build, *args):
+        """build(*args), read-only if an array.  Inside a sharing block it
+        is built once per key, unless key names a mask that is not the
+        grid's own (None), and kept with args, so that an object the key
+        names by id stays alive, and its id unique, until the block exits."""
+        shared = self.__dict__.get("_shared")
+        if shared is None or None in key:
+            shared = {}
+        if key not in shared:
+            value = build(*args)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            shared[key] = value, args
+        return shared[key][0]
+
+    def _nodes(self, mask: np.ndarray) -> np.ndarray:
+        """Flat box indices of the mask's nodes, ascending."""
+        return self._derived(("nodes", self._own(mask)), np.flatnonzero, mask)
+
+    def stencils(self, row_mask: np.ndarray, col_mask: np.ndarray,
+                 transpose: bool = False) -> list[list[tuple]]:
+        """calculus.mask_stencils(row_mask, col_mask, h, transpose), which
+        depends on the masks and h only."""
+        from . import calculus
+        return self._derived(("stencils", self._own(row_mask), self._own(col_mask), transpose),
+                             calculus.mask_stencils, row_mask, col_mask, self.h, transpose)
+
+    def phi_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
+        """phi at the mask's nodes, in compact order."""
+        return self._derived(("phi", id(weight), self._own(mask)),
+                             lambda w, m: w.phi(self.compact(self.coords, m)), weight, mask)
+
+    def weight_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
+        """exp(-phi) at the mask's nodes, in compact order."""
+        return self._derived(("exp", id(weight), self._own(mask)),
+                             lambda w, m: np.exp(-self.phi_values(w, m)), weight, mask)
 
     def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous
@@ -303,20 +304,6 @@ class Grid:
         out = np.zeros((len(u), self._nodes(mask).size), dtype=u.dtype)
         out[:, pos] = u
         return out
-
-    def weight_values(self, weight: Weight, mask: np.ndarray) -> np.ndarray:
-        """exp(-phi) at the mask's nodes, in compact order.  For the grid's
-        own masks the values of the last weight asked for are kept, and
-        returned read-only; any other mask or weight is evaluated afresh."""
-        name = self._own(mask)
-        kept = self._cache.get(("weight", name))
-        if kept is None or kept[0] is not weight:
-            kept = (weight, np.exp(-weight.phi(self.compact(self.coords, mask))))
-            if name is None:
-                return kept[1]
-            kept[1].flags.writeable = False
-            self._cache[("weight", name)] = kept
-        return kept[1]
 
 
 RHO_SLABS = 8
@@ -355,7 +342,7 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
     mask_eq = _dilate(interior)
     mask_dof = _dilate(mask_eq)
     for mask in (interior, mask_eq, mask_dof):
-        mask.flags.writeable = False  # the grid caches their node indices
+        mask.flags.writeable = False  # a sharing block keeps what derives from them
     return Grid(domain, float(h), float(margin), tuple(axes), coords,
                 interior, mask_eq, mask_dof)
 

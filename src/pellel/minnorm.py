@@ -144,8 +144,9 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     adjoint is the exact transpose against the exp(-phi) h^N inner
     products on the two masks.  The weight is shift-normalized by its
     minimum over the unknowns so the exponentials stay tame for large phi.
-    The stencil tables come from grid.stencils, so on the grid's own
-    masks a map pays only for its weights; apply and adjoint run them
+    phi and the stencil tables come from the grid, so inside a
+    grid.sharing() block the maps on the grid's own masks share them and
+    a map pays only for its shifted exp(-phi); apply and adjoint run them
     through calculus.apply_plan, and share one work buffer and one gather
     vector, so a map serves one thread at a time.
 
@@ -155,10 +156,10 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     built on the first call, so maps that are never solved do not pay
     for it.
     """
-    phi_s = weight.phi(grid.compact(grid.coords, dof_mask))
+    phi_s = grid.phi_values(weight, dof_mask)
     shift = float(phi_s.min()) if phi_s.size else 0.0
     w_s = np.exp(-(phi_s - shift))
-    w_t = np.exp(-(weight.phi(grid.compact(grid.coords, eq_mask)) - shift))
+    w_t = np.exp(-(grid.phi_values(weight, eq_mask) - shift))
     vol = grid.cell_volume
     src_shape = (n_in, w_s.size)
     tgt_shape = (n_out, w_t.size)

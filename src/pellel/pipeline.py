@@ -140,14 +140,14 @@ def _solve_stage(stage: str, rhs: np.ndarray, rhs_norm2: float, form_type, out_d
                                  grid.mask_eq, grid.mask_dof, dtype=dtype),
         rhs, tol=tol, maxiter=maxiter)
     _require_converged(report, stage)
-    solution = form_type(grid, out_degree, grid.expand(u, grid.mask_dof))
     report.c = c
     report.rhs_norm2 = rhs_norm2
-    report.solution_norm2 = _report_norm2(solution, weight, grid)
+    report.solution_norm2 = _norm2(grid.restrict(u, grid.mask_dof, grid.mask_eq), weight,
+                                   grid, grid.mask_eq)
     report.bound = bound
     report.ratio = report.solution_norm2 / rhs_norm2 if rhs_norm2 else 0.0
     report.bound_ratio = report.ratio / report.bound
-    return solution, report
+    return form_type(grid, out_degree, grid.expand(u, grid.mask_dof)), report
 
 
 def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
@@ -167,7 +167,7 @@ def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
     closure = (calculus.d_terms(grid.dim, p + 1), num_indices(grid.dim, p + 2))
     rhs, unknowns = _on_masks(f, grid, gated=True)
     del f  # the stage holds its right-hand side on the mask nodes only
-    with grid.sharing_stencils():  # the gate and the map share the tables
+    with grid.sharing():  # the gate, the map and the norms share the tables and phi
         rhs_norm2 = _gated_norm2("poincare", rhs, unknowns, closure, weight, grid)
         del unknowns
         return _solve_stage("poincare", rhs, rhs_norm2, RealForm, p,
@@ -190,7 +190,7 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
         closure = (calculus.complex_terms(n, (0, 1), True), n_complex_coeffs(n, (0, 2)))
     rhs, unknowns = _on_masks(g, grid, gated=closure is not None)
     del g
-    with grid.sharing_stencils():
+    with grid.sharing():
         rhs_norm2 = _gated_norm2("dbar", rhs, unknowns, closure, weight, grid)
         del unknowns
         return _solve_stage("dbar", rhs, rhs_norm2, ComplexForm, (0, 0),
@@ -215,12 +215,13 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     Outside the two stage solves the pipeline works on compact vectors
     over the grid's masks.  The closedness gate, the type residuals and
     the composed residual run on mask nodes through calculus.mask_apply,
-    the kernel of the solvers' maps, and all of them share one set of
-    stencil tables per mask pair for the call.  Each stage releases its
-    box right-hand side once it has taken it on the mask nodes."""
+    the kernel of the solvers' maps; they, the maps and the norms share
+    the stencil tables and the weight's values for the call.  Each stage
+    releases its box right-hand side once it has taken it on the mask
+    nodes."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
-    with grid.sharing_stencils():
+    with grid.sharing():
         asymmetry = _relative_asymmetry(f)
         if asymmetry <= REAL_TOL:
             return _solve_real11(f, asymmetry, weight, grid, tol, maxiter)
@@ -353,7 +354,7 @@ def corollary_constant(domain, grid: Grid, f: ComplexForm | None = None,
     weight = Weight.abs2(grid.dim)
     if f is None:
         f = standard_11_form(grid)
-    phi = weight.phi(grid.compact(grid.coords, grid.interior))
+    phi = grid.phi_values(weight, grid.interior)
     c_omega = 2.0 * math.exp(float(phi.max()) - float(phi.min()))
     u, report = solve_poincare_lelong(f, weight, grid, tol=tol)
     zero = Weight.zero(grid.dim)

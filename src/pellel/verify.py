@@ -271,9 +271,8 @@ class BochnerResult:
 
 
 def _interior_quadrature(grid: Grid, weight: Weight):
-    pts = grid.compact(grid.coords, grid.interior)
-    w = np.exp(-weight.phi(pts)) * grid.cell_volume
-    return pts, w
+    return (grid.compact(grid.coords, grid.interior),
+            grid.weight_values(weight, grid.interior) * grid.cell_volume)
 
 
 def _t_star(a: np.ndarray, da: np.ndarray, gradphi: np.ndarray) -> np.ndarray:

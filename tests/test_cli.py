@@ -50,8 +50,9 @@ def test_run_verify_mode(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"h": 0.0}, {"h": "0.125"}, {"h": True}, {"margin": "0"}, {"tol": None},
     {"slack": [0.15]}, {"h_values": [0.125, "0.0625"]}, {"h_values": 0.125},
-    {"h_values": [False]}, {"maxiter": 10.5}, {"maxiter": True}, {"seed": "0"},
-    {"seed": 1.0},
+    {"h_values": [False]}, {"maxiter": 10.5}, {"maxiter": True}, {"maxiter": 0},
+    {"maxiter": -3}, {"seed": "0"}, {"seed": 1.0},
+    {"mode": "verify", "verify_suite": "dalpha", "seed": -1},
     {"mode": "verify", "verify_suite": "dalpah"},
     {"mode": "dbar", "form": {"preset": "dzbar"}, "dump_forms": "yes"},
     {"mode": "converge", "h_values": []},
@@ -73,7 +74,8 @@ def test_run_verify_mode(tmp_path):
     {"margin": 5.0},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
-        "maxiter_float", "maxiter_bool", "seed_string", "seed_float",
+        "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
+        "seed_string", "seed_float", "seed_negative",
         "verify_suite_unknown", "dump_forms_string", "h_values_empty",
         "radius_string", "domain_field_unknown", "domain_string",
         "ball_center_dim_mismatch", "ellipsoid_no_axes", "quadratic_no_matrix",
@@ -85,6 +87,13 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    # it once escaped main as a ValueError from np.random.default_rng
+    cfg = write_cfg(tmp_path, mode="verify", verify_suite="dalpha", out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg, "--seed", "-1"]) == 2
+    assert "configuration error: seed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h, code", [(1 / 8, 0), (1 / 16, 2), (1 / 4, 2)],

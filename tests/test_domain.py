@@ -243,10 +243,11 @@ def test_weight_values_at_mask_nodes():
                                rtol=1e-14)
 
 
-def test_mask_nodes_searched_once_per_grid(monkeypatch, rng):
+def test_mask_nodes_searched_once_per_sharing_block(monkeypatch, rng):
     grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
     w = pl.Weight.abs2(2)
     a = rng.standard_normal((2,) + grid.shape)
+    own = (grid.interior, grid.mask_eq, grid.mask_dof)
     searched = []
     flatnonzero = np.flatnonzero
 
@@ -254,55 +255,92 @@ def test_mask_nodes_searched_once_per_grid(monkeypatch, rng):
         searched.append(mask)
         return flatnonzero(mask)
 
+    def use(mask):
+        # compact, expand and weight_values each take the mask's nodes
+        c = grid.compact(a, mask)
+        assert np.array_equal(c, a[:, mask])
+        assert np.array_equal(grid.expand(c, mask), np.where(mask, a, 0))
+        assert np.array_equal(grid.weight_values(w, mask),
+                              np.exp(-w.phi(grid.coords[:, mask])))
+
     monkeypatch.setattr(np, "flatnonzero", counted)
-    for _ in range(3):
-        for mask in (grid.interior, grid.mask_eq, grid.mask_dof):
-            c = grid.compact(a, mask)
-            assert np.array_equal(c, a[:, mask])
-            assert np.array_equal(grid.expand(c, mask), np.where(mask, a, 0))
-            assert np.array_equal(grid.weight_values(w, mask),
-                                  np.exp(-w.phi(grid.coords[:, mask])))
-    assert len(searched) == 3
-    # any other mask is searched on every call
-    other = grid.boundary_adjacent
-    assert np.array_equal(grid.compact(a, other), a[:, other])
-    assert np.array_equal(grid.compact(a, other.copy()), a[:, other])
-    assert len(searched) == 5
-    # the cache relies on the grid's masks staying as built
+    for _ in range(2):
+        # each block searches each of the grid's own masks once, and drops
+        # the indices on exit
+        with grid.sharing():
+            for _ in range(3):
+                for mask in own:
+                    use(mask)
+            assert len(searched) == 3
+            # any other mask is searched on every call
+            other = grid.boundary_adjacent
+            assert np.array_equal(grid.compact(a, other), a[:, other])
+            assert np.array_equal(grid.compact(a, other.copy()), a[:, other])
+            assert len(searched) == 5
+        del searched[:]
+    # outside a block every call searches afresh
+    for mask in own:
+        use(mask)
+    assert len(searched) == 3 * len(own)
+    # a block relies on the grid's masks staying as built
     with pytest.raises(ValueError):
         grid.mask_eq[0, 0] = True
 
 
-def test_grid_keeps_weight_values_and_shares_stencils_of_its_own_masks():
+def test_sharing_block_builds_each_value_of_its_own_masks_once():
     grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
-    w, other = pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
-    kept = grid.weight_values(w, grid.mask_eq)
-    assert grid.weight_values(w, grid.mask_eq) is kept and not kept.flags.writeable
-    assert np.array_equal(kept, np.exp(-w.phi(grid.coords[:, grid.mask_eq])))
-    # the last weight asked for is kept, per mask
-    assert np.array_equal(grid.weight_values(other, grid.mask_eq),
-                          np.exp(-other.phi(grid.coords[:, grid.mask_eq])))
-    assert grid.weight_values(w, grid.mask_eq) is not kept
-    mask = grid.mask_eq.copy()
-    assert grid.weight_values(w, mask) is not grid.weight_values(w, mask)
-    # stencil tables: inside a (nested) sharing block, one set per (row
-    # mask, column mask, transpose) of the grid's own masks, equal to a
-    # fresh build; other masks, and every pair outside a block, build each
-    # call
-    assert grid.stencils(grid.mask_eq, grid.mask_dof) is not grid.stencils(grid.mask_eq,
-                                                                           grid.mask_dof)
-    with grid.sharing_stencils():
-        tables = grid.stencils(grid.mask_eq, grid.mask_dof)
-        with grid.sharing_stencils():
-            assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
-        assert grid.stencils(grid.mask_eq, grid.mask_dof) is tables
-        assert grid.stencils(grid.mask_dof, grid.mask_eq, transpose=True) is not tables
-        assert grid.stencils(mask, grid.mask_dof) is not grid.stencils(mask, grid.mask_dof)
-    assert grid.stencils(grid.mask_eq, grid.mask_dof) is not tables
-    fresh = calc.mask_stencils(grid.mask_eq, grid.mask_dof, grid.h)
-    for axis, fresh_axis in zip(tables, fresh):
+    w = pl.Weight.abs2(2)
+    eq, dof = grid.mask_eq, grid.mask_dof
+    mask = eq.copy()
+    values = {"phi": lambda: grid.phi_values(w, eq),
+              "exp": lambda: grid.weight_values(w, eq),
+              "stencils": lambda: grid.stencils(eq, dof)}
+    # outside a block each value is built on every call
+    for get in values.values():
+        assert get() is not get()
+    with grid.sharing():
+        kept = {name: get() for name, get in values.items()}
+        with grid.sharing():  # a nested block shares the outermost
+            for name, get in values.items():
+                assert get() is kept[name]
+        for name, get in values.items():
+            assert get() is kept[name]
+        assert not kept["phi"].flags.writeable and not kept["exp"].flags.writeable
+        # one set of tables per (row mask, column mask, transpose)
+        assert grid.stencils(dof, eq, transpose=True) is not kept["stencils"]
+        # any other mask is built on every call
+        assert grid.phi_values(w, mask) is not grid.phi_values(w, mask)
+        assert grid.weight_values(w, mask) is not grid.weight_values(w, mask)
+        assert grid.stencils(mask, dof) is not grid.stencils(mask, dof)
+    # the block drops everything on exit
+    for name, get in values.items():
+        assert get() is not kept[name]
+    assert np.array_equal(kept["phi"], w.phi(grid.coords[:, eq]))
+    assert np.array_equal(kept["exp"], np.exp(-w.phi(grid.coords[:, eq])))
+    fresh = calc.mask_stencils(eq, dof, grid.h)
+    for axis, fresh_axis in zip(kept["stencils"], fresh):
         for (index, coef), (fresh_index, fresh_coef) in zip(axis, fresh_axis):
             assert np.array_equal(index, fresh_index) and np.array_equal(coef, fresh_coef)
+
+
+def test_two_weights_in_one_sharing_block_get_their_own_values():
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 8)
+    w, other = pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
+    with grid.sharing():
+        for mask in (grid.interior, grid.mask_eq, grid.mask_dof):
+            for weight in (w, other, w):
+                phi = weight.phi(grid.coords[:, mask])
+                assert np.array_equal(grid.phi_values(weight, mask), phi)
+                assert np.array_equal(grid.weight_values(weight, mask), np.exp(-phi))
+        # a weight that lives only for one call keeps its values apart too:
+        # the block holds it, so the next weight cannot take its id
+        phi = w.phi(grid.coords[:, grid.mask_eq])
+        scaled = [pl.Weight.quadratic(scale * np.eye(2)) for scale in range(4)]
+        for _ in range(2):
+            for scale, weight in enumerate(scaled):
+                temporary = pl.Weight("quadratic", weight.phi, weight.grad, weight.hess)
+                assert np.array_equal(grid.phi_values(temporary, grid.mask_eq), scale * phi)
+                del temporary
 
 
 def test_restrict_and_extend_between_nested_masks(rng):
