@@ -30,8 +30,7 @@ from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid
 # not called here (the reports carry c), but kept as this module's name: the
 # benchmark tracer in perfbench/tracing.py wraps pellel.cli.estimate_c
 from .domain import estimate_c  # noqa: F401
-from .errors import (PellelError, ResolutionError, SolverError, UnsupportedDomainError,
-                     ValidationError)
+from .errors import PellelError, ResolutionError, UnsupportedDomainError, ValidationError
 from .forms import ComplexForm, RealForm
 from .pipeline import DEFAULT_SLACK
 
@@ -378,7 +377,7 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, PellelError) as exc:
+    except PellelError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 3
     for check in report["checks"]:

@@ -347,7 +347,7 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
                 interior, mask_eq, mask_dof)
 
 
-def estimate_c(weight: Weight, domain: Domain, grid: Grid) -> float:
+def estimate_c(weight: Weight, grid: Grid) -> float:
     """Convexity constant of the weight on G: the minimum over interior
     nodes of the smallest Hessian eigenvalue, taken once from the constant
     Hessian 2 A of a quadratic weight.  Rejects nonconvex weights."""

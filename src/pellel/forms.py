@@ -184,12 +184,6 @@ class ComplexForm:
 
     __rmul__ = __mul__
 
-    def entry11(self, i: int, j: int) -> np.ndarray:
-        """Coefficient of dz_i wedge dzbar_j (1-based) of a (1,1) form."""
-        if self.bidegree != (1, 1):
-            raise ValidationError("entry11 applies to (1,1) forms")
-        return self.coeffs[(i - 1) * self.n + (j - 1)]
-
 
 def _check_same(f, g):
     if f.grid is not g.grid and f.grid.shape != g.grid.shape:
@@ -227,32 +221,49 @@ def norm11(f: ComplexForm) -> np.ndarray:
     return np.einsum("k...,k...->...", f.coeffs, f.coeffs.conj()).real
 
 
-def weighted_inner(f, g, weight: Weight, mask: np.ndarray | None = None):
-    """Weighted inner product over G: midpoint quadrature of the pointwise
-    product against exp(-phi), evaluated at the mask's nodes only.  Real
-    pairs give a float, complex pairs a complex number."""
-    _check_same(f, g)
-    grid = f.grid
-    if mask is None:
-        mask = grid.interior
-    a = grid.compact(f.coeffs, mask)
-    b = a if g is f else grid.compact(g.coeffs, mask)
-    total = compact_inner(grid, a, b, weight, mask)
-    return float(total) if isinstance(f, RealForm) else complex(total)
+def weighted_sum(density: np.ndarray, weights: np.ndarray) -> float:
+    """Quadrature of a nonnegative density: the real part of the sum of
+    density * weights, the weights holding exp(-phi) and the cell or
+    surface measure.  A density that is nonzero but sums to 0 raises
+    instead of passing a check vacuously: exp(-phi) underflows there."""
+    total = float(np.sum(density * weights).real)
+    if total == 0.0 and np.any(density):
+        raise ValidationError(
+            "weighted norm underflows to 0 for a nonzero density; "
+            "exp(-phi) vanishes there in double precision")
+    return total
 
 
-def compact_inner(grid: Grid, a: np.ndarray, b: np.ndarray, weight: Weight,
-                  mask: np.ndarray):
-    """weighted_inner of two coefficient arrays given on the mask's nodes
-    (the layout of grid.compact): sum of a conj(b) exp(-phi) h^N."""
-    w = grid.weight_values(weight, mask) * grid.cell_volume
-    return np.sum(np.einsum("kn,kn->n", a, b.conj()) * w)
+def compact_norm2(grid: Grid, values: np.ndarray, weight: Weight, mask: np.ndarray) -> float:
+    """Squared weighted norm of coefficients given on the mask's nodes (the
+    layout of grid.compact): the sum of |values|^2 exp(-phi) h^N."""
+    return weighted_sum(np.einsum("kn,kn->n", values, values.conj()),
+                        grid.weight_values(weight, mask) * grid.cell_volume)
 
 
 def norm2(f, weight: Weight, mask: np.ndarray | None = None) -> float:
-    """Squared weighted norm over G (always real)."""
-    v = weighted_inner(f, f, weight, mask)
-    return float(v.real) if isinstance(v, complex) else float(v)
+    """Squared weighted norm over G (always real), evaluated at the mask's
+    nodes only."""
+    mask = f.grid.interior if mask is None else mask
+    return compact_norm2(f.grid, f.grid.compact(f.coeffs, mask), weight, mask)
+
+
+def weighted_inner(f, g, weight: Weight, mask: np.ndarray | None = None):
+    """Weighted inner product over G: midpoint quadrature of the pointwise
+    product against exp(-phi), evaluated at the mask's nodes only.  Real
+    pairs give a float, complex pairs a complex number.  For g is f it is
+    norm2; the inner product of two different forms may be 0, so it is
+    not held to norm2's underflow rule."""
+    _check_same(f, g)
+    if g is f:
+        total = norm2(f, weight, mask)
+    else:
+        grid = f.grid
+        mask = grid.interior if mask is None else mask
+        w = grid.weight_values(weight, mask) * grid.cell_volume
+        total = np.sum(np.einsum("kn,kn->n", grid.compact(f.coeffs, mask),
+                                 grid.compact(g.coeffs, mask).conj()) * w)
+    return float(total) if isinstance(f, RealForm) else complex(total)
 
 
 def to_csv(form, path) -> None:

@@ -11,10 +11,11 @@ Non-real f splits into real and imaginary parts, runs twice and combines
 linearly.
 
 All equations are imposed on the interior mask plus one ring of nodes;
-unknowns carry one further ring.  With manufactured polynomial data this
-makes the sampled continuum solution an exact discrete solution, so the
-solver residuals are limited by the iteration tolerance, not by the
-discretization.
+unknowns carry one further ring.  Report norms integrate over the
+equation mask, G with a collar that vanishes under refinement.  With
+manufactured polynomial data this makes the sampled continuum solution an
+exact discrete solution, so the solver residuals are limited by the
+iteration tolerance, not by the discretization.
 """
 
 from __future__ import annotations
@@ -64,41 +65,20 @@ class PipelineReport:
 STAGE_FAIL_RESIDUAL = 1e-2  # above this the stage result is not a solution
 
 
-def _norm2(values: np.ndarray, weight: Weight, grid: Grid, mask: np.ndarray) -> float:
-    """Weighted norm of coefficients given on the mask's nodes (the layout
-    of grid.compact); values that are nonzero but whose norm underflows
-    to 0 raise instead of passing a check vacuously."""
-    norm = float(forms.compact_inner(grid, values, values, weight, mask).real)
-    if norm == 0.0 and np.any(values):
-        raise ValidationError(
-            "weighted norm underflows to 0 for a form that is nonzero on the mask; "
-            "exp(-phi) vanishes there in double precision")
-    return norm
-
-
-def _report_norm2(form, weight: Weight, grid: Grid) -> float:
-    """Norms in solve reports integrate over the equation mask: the
-    discrete domain on which the equation is imposed (G plus a one-node
-    collar that vanishes under refinement)."""
-    return _norm2(grid.compact(form.coeffs, grid.mask_eq), weight, grid, grid.mask_eq)
-
-
 def _derivative_norm2(terms, values: np.ndarray, n_out: int, weight: Weight,
                       grid: Grid) -> float:
     """Norm over the equation mask of the first-order operator given by
     terms, applied to coefficients on the unknown nodes: every neighbour of
     an equation node is an unknown node, so this is the box operator's
     norm there."""
-    return _norm2(calculus.mask_apply(grid, terms, values, n_out, grid.mask_eq, grid.mask_dof),
-                  weight, grid, grid.mask_eq)
+    return forms.compact_norm2(
+        grid, calculus.mask_apply(grid, terms, values, n_out, grid.mask_eq, grid.mask_dof),
+        weight, grid.mask_eq)
 
 
-def _require_converged(report: SolveReport, stage: str) -> None:
-    if report.relative_residual > STAGE_FAIL_RESIDUAL:
-        raise SolverError(
-            f"stage '{stage}' failed: relative residual "
-            f"{report.relative_residual:.3e} after {report.iterations} iterations "
-            f"({report.reason})")
+def _check_grid(f, grid: Grid) -> None:
+    if f.grid is not grid:
+        raise ValidationError("the form lives on another grid than the one passed")
 
 
 def _on_masks(f, grid: Grid, gated: bool):
@@ -115,7 +95,7 @@ def _gated_norm2(stage: str, rhs: np.ndarray, unknowns, closure, weight: Weight,
     nodes, must first pass the closedness gate
     |closure f| <= factor * h * |f|, where closure is (terms, n_out) of the
     first-order operator that annihilates closed right-hand sides."""
-    rhs_norm2 = _norm2(rhs, weight, grid, grid.mask_eq)
+    rhs_norm2 = forms.compact_norm2(grid, rhs, weight, grid.mask_eq)
     if closure is not None:
         terms, n_out = closure
         residual = math.sqrt(_derivative_norm2(terms, unknowns, n_out, weight, grid))
@@ -139,11 +119,15 @@ def _solve_stage(stage: str, rhs: np.ndarray, rhs_norm2: float, form_type, out_d
         weighted_first_order_map(grid, weight, terms, n_in, len(rhs),
                                  grid.mask_eq, grid.mask_dof, dtype=dtype),
         rhs, tol=tol, maxiter=maxiter)
-    _require_converged(report, stage)
+    if report.relative_residual > STAGE_FAIL_RESIDUAL:
+        raise SolverError(
+            f"stage '{stage}' failed: relative residual "
+            f"{report.relative_residual:.3e} after {report.iterations} iterations "
+            f"({report.reason})")
     report.c = c
     report.rhs_norm2 = rhs_norm2
-    report.solution_norm2 = _norm2(grid.restrict(u, grid.mask_dof, grid.mask_eq), weight,
-                                   grid, grid.mask_eq)
+    report.solution_norm2 = forms.compact_norm2(
+        grid, grid.restrict(u, grid.mask_dof, grid.mask_eq), weight, grid.mask_eq)
     report.bound = bound
     report.ratio = report.solution_norm2 / rhs_norm2 if rhs_norm2 else 0.0
     report.bound_ratio = report.ratio / report.bound
@@ -163,11 +147,14 @@ def solve_poincare(f: RealForm, weight: Weight, grid: Grid,
     p = f.degree - 1
     if not 0 <= p <= grid.dim - 1:
         raise ValidationError(f"degree {f.degree} outside 1..{grid.dim}")
-    c = estimate_c(weight, grid.domain, grid)
-    closure = (calculus.d_terms(grid.dim, p + 1), num_indices(grid.dim, p + 2))
-    rhs, unknowns = _on_masks(f, grid, gated=True)
-    del f  # the stage holds its right-hand side on the mask nodes only
-    with grid.sharing():  # the gate, the map and the norms share the tables and phi
+    _check_grid(f, grid)
+    # the masks, the gate, the map and the norms share the node indices,
+    # tables and phi
+    with grid.sharing():
+        c = estimate_c(weight, grid)
+        closure = (calculus.d_terms(grid.dim, p + 1), num_indices(grid.dim, p + 2))
+        rhs, unknowns = _on_masks(f, grid, gated=True)
+        del f  # the stage holds its right-hand side on the mask nodes only
         rhs_norm2 = _gated_norm2("poincare", rhs, unknowns, closure, weight, grid)
         del unknowns
         return _solve_stage("poincare", rhs, rhs_norm2, RealForm, p,
@@ -182,19 +169,19 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
     form g; the ratio is reported against 2/c_levi with c_levi = c/2."""
     if not isinstance(g, ComplexForm) or tuple(g.bidegree) != (0, 1):
         raise ValidationError("dbar solve expects a (0,1) form")
+    _check_grid(g, grid)
     n = g.n
-    c = estimate_c(weight, grid.domain, grid)
-    c_levi = 0.5 * c
     closure = None
     if check_closed and n >= 2:
         closure = (calculus.complex_terms(n, (0, 1), True), n_complex_coeffs(n, (0, 2)))
-    rhs, unknowns = _on_masks(g, grid, gated=closure is not None)
-    del g
     with grid.sharing():
+        c = estimate_c(weight, grid)
+        rhs, unknowns = _on_masks(g, grid, gated=closure is not None)
+        del g
         rhs_norm2 = _gated_norm2("dbar", rhs, unknowns, closure, weight, grid)
         del unknowns
         return _solve_stage("dbar", rhs, rhs_norm2, ComplexForm, (0, 0),
-                            calculus.complex_terms(n, (0, 0), True), 1, c, 2.0 / c_levi,
+                            calculus.complex_terms(n, (0, 0), True), 1, c, 4.0 / c,
                             weight, grid, tol, maxiter)
 
 
@@ -221,6 +208,7 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
     nodes."""
     if not isinstance(f, ComplexForm) or tuple(f.bidegree) != (1, 1):
         raise ValidationError("expected a (1,1) form")
+    _check_grid(f, grid)
     with grid.sharing():
         asymmetry = _relative_asymmetry(f)
         if asymmetry <= REAL_TOL:
@@ -231,12 +219,12 @@ def solve_poincare_lelong(f: ComplexForm, weight: Weight, grid: Grid,
             for combine, scale in ((np.add, 0.5), (np.subtract, -0.5j)))
         u = ComplexForm(grid, (0, 0), u1.coeffs + 1j * u2.coeffs)
         del u1, u2
-        report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid,
-                                  rep1.c, _report_norm2(f, weight, grid))
-    report.parts = (rep1, rep2)
-    for name in ("realness", "type_residual_20", "type_residual_02"):
-        setattr(report, name, max(getattr(rep1, name), getattr(rep2, name)))
-    return u, report
+        # the combined report carries the worse of the two parts
+        return u, _assemble_report(
+            grid.compact(f.coeffs, grid.interior), u, weight, grid, rep1.c,
+            forms.norm2(f, weight, grid.mask_eq), parts=(rep1, rep2),
+            **{name: max(getattr(rep1, name), getattr(rep2, name))
+               for name in ("realness", "type_residual_20", "type_residual_02")})
 
 
 def _solve_part(f: ComplexForm, combine, scale: complex, weight: Weight, grid: Grid,
@@ -256,7 +244,7 @@ def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
     """The three stages for a real (1,1) form f, whose relative asymmetry
     max |f - conj f| / max |f| the caller has measured; the report
     carries it as realness."""
-    norm_f2 = _report_norm2(f, weight, grid)
+    norm_f2 = forms.norm2(f, weight, grid.mask_eq)
     v01, rep_p, type_residuals = _poincare_split(f, norm_f2, weight, grid, tol, maxiter)
     # v^{0,1} is dbar-closed only up to the residual of the Poincare stage.
     # Its box form is passed as a temporary, so that the stage can release
@@ -269,16 +257,11 @@ def _solve_real11(f: ComplexForm, asymmetry: float, weight: Weight, grid: Grid,
     w = grid.compact(w.coeffs, grid.mask_dof)
     u = ComplexForm(grid, (0, 0), grid.expand(-1j * (w - w.conj()), grid.mask_dof))
     del w
-
-    report = _assemble_report(grid.compact(f.coeffs, grid.interior), u, weight, grid,
-                              rep_p.c, norm_f2)
-    report.realness = asymmetry
-    report.stage_poincare = rep_p
-    report.stage_dbar = rep_d
-    report.norm_v2 = rep_p.solution_norm2
-    report.norm_w2 = rep_d.solution_norm2
-    report.type_residual_20, report.type_residual_02 = type_residuals
-    return u, report
+    return u, _assemble_report(
+        grid.compact(f.coeffs, grid.interior), u, weight, grid, rep_p.c, norm_f2,
+        norm_v2=rep_p.solution_norm2, norm_w2=rep_d.solution_norm2, realness=asymmetry,
+        type_residual_20=type_residuals[0], type_residual_02=type_residuals[1],
+        stage_poincare=rep_p, stage_dbar=rep_d)
 
 
 def _poincare_split(f: ComplexForm, norm_f2: float, weight: Weight, grid: Grid,
@@ -320,16 +303,17 @@ def _composed_residual(f_int: np.ndarray, u: ComplexForm, grid: Grid) -> np.ndar
 
 
 def _assemble_report(f_int: np.ndarray, u: ComplexForm, weight: Weight, grid: Grid,
-                     c: float, norm_f2: float) -> PipelineReport:
+                     c: float, norm_f2: float, **fields) -> PipelineReport:
     """The pipeline report of u for f given on the interior nodes (f_int)
-    and its norm norm_f2 over the equation mask."""
+    and its norm norm_f2 over the equation mask; fields are the report's
+    stage records, realness and type residuals."""
     # the composed second-order residual is only equation-controlled on the
     # interior mask (one ring inside the dbar-stage equation mask)
-    norm_f2_int = _norm2(f_int, weight, grid, grid.interior)
-    resid = _composed_residual(f_int, u, grid)
-    residual2 = float(forms.compact_inner(grid, resid, resid, weight, grid.interior).real)
+    norm_f2_int = forms.compact_norm2(grid, f_int, weight, grid.interior)
+    residual2 = forms.compact_norm2(grid, _composed_residual(f_int, u, grid), weight,
+                                    grid.interior)
     residual = math.sqrt(residual2 / norm_f2_int) if norm_f2_int else 0.0
-    norm_u2 = _report_norm2(u, weight, grid)
+    norm_u2 = forms.norm2(u, weight, grid.mask_eq)
     return PipelineReport(
         c=c, c_levi=0.5 * c,
         norm_f2=norm_f2, norm_u2=norm_u2,
@@ -337,11 +321,10 @@ def _assemble_report(f_int: np.ndarray, u: ComplexForm, weight: Weight, grid: Gr
         bound_dbar=4.0 / c,
         bound_main=8.0 / c**2,
         ratio=norm_u2 / norm_f2 if norm_f2 else 0.0,
-        residual=residual,
-    )
+        residual=residual, **fields)
 
 
-def corollary_constant(domain, grid: Grid, f: ComplexForm | None = None,
+def corollary_constant(grid: Grid, f: ComplexForm | None = None,
                        tol: float = 1e-10) -> tuple[float, dict]:
     """Unweighted solvability constant from the weighted pipeline.
 
@@ -354,12 +337,13 @@ def corollary_constant(domain, grid: Grid, f: ComplexForm | None = None,
     weight = Weight.abs2(grid.dim)
     if f is None:
         f = standard_11_form(grid)
-    phi = grid.phi_values(weight, grid.interior)
-    c_omega = 2.0 * math.exp(float(phi.max()) - float(phi.min()))
-    u, report = solve_poincare_lelong(f, weight, grid, tol=tol)
-    zero = Weight.zero(grid.dim)
-    norm_u2 = _report_norm2(u, zero, grid)
-    norm_f2 = _report_norm2(f, zero, grid)
+    with grid.sharing():  # the pipeline and the norms share phi and the node indices
+        phi = grid.phi_values(weight, grid.interior)
+        c_omega = 2.0 * math.exp(float(phi.max()) - float(phi.min()))
+        u, report = solve_poincare_lelong(f, weight, grid, tol=tol)
+        zero = Weight.zero(grid.dim)
+        norm_u2 = forms.norm2(u, zero, grid.mask_eq)
+        norm_f2 = forms.norm2(f, zero, grid.mask_eq)
     ratio = norm_u2 / norm_f2 if norm_f2 else 0.0
     return c_omega, {
         "c_omega": c_omega,

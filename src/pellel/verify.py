@@ -18,6 +18,7 @@ import numpy as np
 
 from .domain import BoundaryQuadrature, Domain, Grid, Weight, estimate_c
 from .errors import ValidationError
+from .forms import weighted_sum
 from .multiindex import (MultiIndex, increasing_indices, index_positions,
                          remove, sort_signature)
 
@@ -297,18 +298,20 @@ def check_bochner_identity(alpha: PolyForm, weight: Weight, domain: Domain,
 
     with every integral evaluated by quadrature.  |d a|^2 comes from the
     exact alpha.d(), the other terms from one jet per point set.  Returns
-    a BochnerResult with the two sides and their absolute deviation.
+    a BochnerResult with the two sides and their absolute deviation.  Each
+    integrand is nonnegative for a convex weight and domain, so an integral
+    that underflows to 0 raises (forms.weighted_sum).
     """
     pts, w = _interior_quadrature(grid, weight)
     a, da = _jet(alpha, pts)
-    lhs1 = float(np.sum(_t_star(a, da, weight.grad(pts)) ** 2 * w))
-    lhs2 = float(np.sum(alpha.d().eval(pts) ** 2 * w))
-    rhs1 = float(np.sum(_hessian_form(weight.hess(pts), a) * w))
-    rhs2 = float(np.sum(_gradient_sum(da, alpha.degree) * w))
+    lhs1 = weighted_sum(_t_star(a, da, weight.grad(pts)) ** 2, w)
+    lhs2 = weighted_sum(alpha.d().eval(pts) ** 2, w)
+    rhs1 = weighted_sum(_hessian_form(weight.hess(pts), a), w)
+    rhs2 = weighted_sum(_gradient_sum(da, alpha.degree), w)
     bpts = quad.nodes
     bw = quad.weights * np.exp(-weight.phi(bpts))
     b, _ = _jet(alpha, bpts)
-    rhs3 = float(np.sum(_hessian_form(domain.hess_rho(bpts), b) * bw))
+    rhs3 = weighted_sum(_hessian_form(domain.hess_rho(bpts), b), bw)
     lhs = lhs1 + lhs2
     rhs = rhs1 + rhs2 + rhs3
     return BochnerResult(lhs, rhs, abs(lhs - rhs))
@@ -323,7 +326,7 @@ def check_basic_estimate(alpha: PolyForm, weight: Weight, domain: Domain,
     """
     result = check_bochner_identity(alpha, weight, domain, grid, quad)
     pts, w = _interior_quadrature(grid, weight)
-    norm_a2 = float(np.sum(alpha.eval(pts) ** 2 * w))
-    c = estimate_c(weight, domain, grid)
+    norm_a2 = weighted_sum(alpha.eval(pts) ** 2, w)
+    c = estimate_c(weight, grid)
     reference = c * alpha.degree * norm_a2
     return result.lhs - reference, reference

@@ -225,9 +225,8 @@ def test_c2_smoke():
 
 
 def test_corollary_unweighted_constant():
-    dom = pl.Domain.ball(1.0)
-    grid = pl.build_grid(dom, 1 / 64)
-    c_om, detail = pl.corollary_constant(dom, grid)
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 64)
+    c_om, detail = pl.corollary_constant(grid)
     limit = 2.0 * np.e * 1.15
     assert c_om <= 2.0 * np.e * (1 + 1e-9)
     assert detail["ratio_unweighted"] <= limit

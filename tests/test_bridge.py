@@ -197,7 +197,7 @@ def test_levi_holds_at_interior_nodes(disk_grid_coarse, rng):
     m = rng.standard_normal((2, 2))
     a = m @ m.T + 0.5 * np.eye(2)
     w = pl.Weight.quadratic(a)
-    c = pl.estimate_c(w, disk_grid_coarse.domain, disk_grid_coarse)
+    c = pl.estimate_c(w, disk_grid_coarse)
     pts = disk_grid_coarse.coords[:, disk_grid_coarse.interior][:, ::17]
     for x in pts.T:
         omega = rng.standard_normal(1) + 1j * rng.standard_normal(1)

@@ -47,6 +47,10 @@ def test_run_verify_mode(tmp_path):
     assert report["detail"]["dalpha_max_deviation"] <= 1e-10
 
 
+# phi = |x|^2 is about 900 on this disk, so exp(-phi) underflows to 0 there
+FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
+
+
 @pytest.mark.parametrize("bad", [
     {"h": 0.0}, {"h": "0.125"}, {"h": True}, {"margin": "0"}, {"tol": None},
     {"slack": [0.15]}, {"h_values": [0.125, "0.0625"]}, {"h_values": 0.125},
@@ -72,6 +76,8 @@ def test_run_verify_mode(tmp_path):
     {"mode": "verify", "domain": {"kind": "ball", "dim": 4}, "verify_suite": "boundary"},
     {"h": 5.0},
     {"margin": 5.0},
+    {"mode": "verify", "verify_suite": "bochner", "domain": FAR_DISK},
+    {"mode": "verify", "verify_suite": "basic", "domain": FAR_DISK},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -81,12 +87,32 @@ def test_run_verify_mode(tmp_path):
         "ball_center_dim_mismatch", "ellipsoid_no_axes", "quadratic_no_matrix",
         "quadratic_ragged", "quadratic_wrong_dim", "form_string", "form_table_number",
         "pipeline_real_form", "poincare_complex_form", "boundary_suite_dim4",
-        "h_no_interior", "margin_no_interior"])
+        "h_no_interior", "margin_no_interior", "bochner_weight_underflows",
+        "basic_weight_underflows"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["dalpha", "boundary"])
+def test_unweighted_verify_suites_pass_where_the_weight_underflows(tmp_path, suite):
+    cfg = write_cfg(tmp_path, mode="verify", verify_suite=suite, domain=FAR_DISK,
+                    out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == 0
+
+
+def test_centred_disk_verify_report(tmp_path):
+    # the values before the verify integrals took forms.weighted_sum, which
+    # keeps the order of their sums
+    cfg = write_cfg(tmp_path, mode="verify", verify_suite="all", out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == 0
+    detail = json.loads((tmp_path / "out" / "report.json").read_text())["detail"]
+    assert detail["bochner"] == pytest.approx(
+        {"lhs": 4.170466396841386, "rhs": 4.166508727323446,
+         "deviation": 0.003957669517939522}, rel=1e-12)
+    assert detail["basic_estimate"]["margin"] == pytest.approx(3.6619648574136923, rel=1e-12)
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):

@@ -66,14 +66,14 @@ def test_grid_masks_nest():
     assert np.all(grid.interior[grid.boundary_adjacent])
 
 
-def test_estimate_c_quadratic(disk, disk_grid_coarse):
+def test_estimate_c_quadratic(disk_grid_coarse):
     w = pl.Weight.abs2(2)
-    assert pl.estimate_c(w, disk, disk_grid_coarse) == pytest.approx(2.0, abs=1e-14)
+    assert pl.estimate_c(w, disk_grid_coarse) == pytest.approx(2.0, abs=1e-14)
     w = pl.Weight.quadratic(np.diag([1.0, 3.0]))
-    assert pl.estimate_c(w, disk, disk_grid_coarse) == pytest.approx(2.0, abs=1e-14)
+    assert pl.estimate_c(w, disk_grid_coarse) == pytest.approx(2.0, abs=1e-14)
 
 
-def test_estimate_c_quartic_matches_scan_oracle(disk, disk_grid_coarse):
+def test_estimate_c_quartic_matches_scan_oracle(disk_grid_coarse):
     # phi = |x|^2 + x1^4
     def phi(p):
         return p[0]**2 + p[1]**2 + p[0]**4
@@ -89,7 +89,7 @@ def test_estimate_c_quartic_matches_scan_oracle(disk, disk_grid_coarse):
         return h
 
     w = pl.Weight.custom(phi, grad, hess)
-    c = pl.estimate_c(w, disk, disk_grid_coarse)
+    c = pl.estimate_c(w, disk_grid_coarse)
     # independent scan over interior nodes
     pts = disk_grid_coarse.coords[:, disk_grid_coarse.interior]
     oracle = min(np.linalg.eigvalsh(np.array([[2 + 12 * x**2, 0], [0, 2.0]])).min()
@@ -99,13 +99,13 @@ def test_estimate_c_quartic_matches_scan_oracle(disk, disk_grid_coarse):
 
 
 @pytest.mark.parametrize("w", [pl.Weight.abs2(2), pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])])
-def test_estimate_c_constant_hessian_matches_node_scan(disk, disk_grid_coarse, w):
+def test_estimate_c_constant_hessian_matches_node_scan(disk_grid_coarse, w):
     per_node = pl.Weight.custom(w.phi, w.grad, w.hess)  # no matrix: scans the nodes
-    assert pl.estimate_c(w, disk, disk_grid_coarse) == pl.estimate_c(
-        per_node, disk, disk_grid_coarse)
+    assert pl.estimate_c(w, disk_grid_coarse) == pl.estimate_c(
+        per_node, disk_grid_coarse)
 
 
-def test_estimate_c_quadratic_skips_node_hessians(disk, disk_grid_coarse):
+def test_estimate_c_quadratic_skips_node_hessians(disk_grid_coarse):
     w = pl.Weight.quadratic([[1.0, 0.3], [0.3, 2.0]])
     shapes = []
 
@@ -114,22 +114,22 @@ def test_estimate_c_quadratic_skips_node_hessians(disk, disk_grid_coarse):
         return w.hess(points)
 
     counted = pl.Weight("quadratic", w.phi, w.grad, counting_hess, matrix=w.matrix)
-    assert pl.estimate_c(counted, disk, disk_grid_coarse) == pl.estimate_c(
-        w, disk, disk_grid_coarse)
+    assert pl.estimate_c(counted, disk_grid_coarse) == pl.estimate_c(
+        w, disk_grid_coarse)
     assert shapes == []
 
 
-def test_estimate_c_rejects_nonconvex(disk, disk_grid_coarse):
+def test_estimate_c_rejects_nonconvex(disk_grid_coarse):
     with pytest.raises(ValidationError):
-        pl.estimate_c(pl.Weight.zero(2), disk, disk_grid_coarse)
+        pl.estimate_c(pl.Weight.zero(2), disk_grid_coarse)
 
 
-def test_estimate_c_rotation_invariant(disk, disk_grid_coarse):
+def test_estimate_c_rotation_invariant(disk_grid_coarse):
     a = np.diag([1.0, 3.0])
     th = 0.7
     q = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    c1 = pl.estimate_c(pl.Weight.quadratic(a), disk, disk_grid_coarse)
-    c2 = pl.estimate_c(pl.Weight.quadratic(q.T @ a @ q), disk, disk_grid_coarse)
+    c1 = pl.estimate_c(pl.Weight.quadratic(a), disk_grid_coarse)
+    c2 = pl.estimate_c(pl.Weight.quadratic(q.T @ a @ q), disk_grid_coarse)
     assert c1 == pytest.approx(c2, rel=1e-12)
 
 

@@ -70,6 +70,23 @@ def test_weighted_inner_symmetric_bilinear_positive(disk_grid_coarse, gauss2, rn
     assert pl.norm2(supported, gauss2) > 0.0
 
 
+def test_norm2_raises_where_the_weight_underflows():
+    # phi = |x|^2 is about 900 on a disk centred at (30, 0), so exp(-phi)
+    # underflows to 0 at every node and the norm of a nonzero form reads 0
+    grid = pl.build_grid(pl.Domain.ball(1.0, center=(30.0, 0.0)), 1 / 32)
+    weight = pl.Weight.abs2(2)
+    f = pl.standard_11_form(grid)
+    for mask in (None, grid.mask_eq):
+        with pytest.raises(ValidationError, match="underflows"):
+            pl.norm2(f, weight, mask)
+    with pytest.raises(ValidationError, match="underflows"):
+        pl.weighted_inner(f, f, weight)
+    # an inner product of two forms may be 0, and so is the norm of a zero form
+    assert pl.weighted_inner(f, f.copy(), weight) == 0.0
+    assert pl.norm2(pl.ComplexForm.zeros(grid, (1, 1)), weight) == 0.0
+    assert pl.norm2(f, pl.Weight.zero(2)) > 0.0
+
+
 def _counting_abs2(dim):
     """phi = |x|^2 as a custom weight that records how many points phi sees."""
     base = pl.Weight.abs2(dim)

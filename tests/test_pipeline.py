@@ -181,6 +181,48 @@ def test_underflowing_norms_raise():
         pipeline._assemble_report(grid.compact(f.coeffs, grid.interior), u, w, grid, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("source", [pl.Domain.ball(1.0, center=(0.3, 0.0)), None],
+                         ids=["same_shape", "other_shape"])
+def test_solvers_reject_a_form_from_another_grid(disk_grid_coarse, gauss2, source):
+    # a form from a grid of another shape once raised a raw numpy reshape
+    # error, and one from a grid of the same shape was measured with the
+    # masks of the grid passed
+    grid = disk_grid_coarse
+    other = (pl.build_grid(source, grid.h) if source is not None
+             else pl.build_grid(grid.domain, grid.h / 2))
+    assert (other.shape == grid.shape) == (source is not None)
+    g = pl.ComplexForm.zeros(other, (0, 1))
+    g.coeffs[0] = 1.0
+    for solve, f in ((pl.solve_poincare, pl.RealForm.from_components(other, 2, {(1, 2): 1.0})),
+                     (pl.solve_dbar, g),
+                     (pl.solve_poincare_lelong, pl.standard_11_form(other))):
+        with pytest.raises(ValidationError, match="another grid"):
+            solve(f, gauss2, grid)
+
+
+@pytest.mark.parametrize("stage", ["poincare", "dbar"])
+def test_standalone_stage_builds_each_mask_once(monkeypatch, disk_grid_coarse, gauss2, stage):
+    grid = disk_grid_coarse
+    built = []
+    derived = pl.Grid._derived
+
+    def counted(self, key, build, *args):
+        def counted_build(*a):
+            built.append(key[1])
+            return build(*a)
+        return derived(self, key, counted_build if key[0] == "nodes" else build, *args)
+
+    monkeypatch.setattr(pl.Grid, "_derived", counted)
+    if stage == "poincare":
+        pl.solve_poincare(pl.RealForm.from_components(grid, 2, {(1, 2): 1.0}), gauss2, grid)
+    else:
+        g = pl.ComplexForm.zeros(grid, (0, 1))
+        g.coeffs[0] = 2.0 * (grid.coords[0] - 1j * grid.coords[1])
+        pl.solve_dbar(g, gauss2, grid)
+    # the stage takes its right-hand side on the masks inside its sharing block
+    assert sorted(built) == ["mask_dof", "mask_eq"]
+
+
 def test_pipeline_rejects_wrong_bidegree(disk_grid_coarse, gauss2):
     g = pl.ComplexForm.zeros(disk_grid_coarse, (0, 1))
     with pytest.raises(ValidationError):
@@ -378,23 +420,46 @@ def test_2d_stage_iterations_flat_in_h(h):
         assert stage.iterations <= 40
 
 
-def test_corollary_constant_formula(disk, disk_grid_coarse):
-    c_om, detail = pl.corollary_constant(disk, disk_grid_coarse)
+def test_corollary_constant_formula(disk_grid_coarse):
+    c_om, detail = pl.corollary_constant(disk_grid_coarse)
     assert c_om <= 2.0 * np.e * (1 + 1e-9)
     assert c_om >= 2.0 * np.exp(0.9)  # grid max of |x|^2 is near 1
     assert detail["ratio_unweighted"] <= c_om * 1.15
 
 
+def test_corollary_constant_evaluates_phi_once_per_mask_and_weight(monkeypatch,
+                                                                  disk_grid_coarse):
+    grid = disk_grid_coarse
+    sizes = {int(m.sum()): name for name, m in (("interior", grid.interior),
+                                                ("eq", grid.mask_eq), ("dof", grid.mask_dof))}
+    calls = []
+
+    def counting(make):
+        def build(dim):
+            w = make(dim)
+
+            def phi(points):
+                calls.append((w.kind, sizes.get(points[0].size, "other")))
+                return w.phi(points)
+            return pl.Weight(w.kind, phi, w.grad, w.hess, matrix=w.matrix)
+        return staticmethod(build)
+
+    monkeypatch.setattr(pl.Weight, "abs2", counting(pl.Weight.abs2))
+    monkeypatch.setattr(pl.Weight, "zero", counting(pl.Weight.zero))
+    pl.corollary_constant(grid)
+    # c_Omega, the pipeline and the unweighted norms share one sharing block
+    assert sorted(calls) == [("abs2", "dof"), ("abs2", "eq"), ("abs2", "interior"),
+                             ("zero", "eq")]
+
+
 def test_corollary_radius_scaling():
-    dom = pl.Domain.ball(0.5)
-    grid = pl.build_grid(dom, 1 / 32)
-    c_om, detail = pl.corollary_constant(dom, grid)
+    grid = pl.build_grid(pl.Domain.ball(0.5), 1 / 32)
+    c_om, detail = pl.corollary_constant(grid)
     assert c_om <= 2.0 * np.exp(0.25) * (1 + 1e-9)
     assert detail["ratio_unweighted"] <= c_om * 1.15
 
 
 def test_corollary_small_radius_limit():
-    dom = pl.Domain.ball(0.05)
-    grid = pl.build_grid(dom, 0.0125)
-    c_om, _ = pl.corollary_constant(dom, grid)
+    grid = pl.build_grid(pl.Domain.ball(0.05), 0.0125)
+    c_om, _ = pl.corollary_constant(grid)
     assert abs(c_om - 2.0) <= 0.01
