@@ -28,6 +28,7 @@ from .multiindex import (MultiIndex, increasing_indices, index_positions, num_in
                          sort_signature)
 
 _BIDEGREES = ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2))
+CSV_CHUNK = 4096  # lines per write of to_csv
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +187,11 @@ class ComplexForm:
 
 
 def _check_same(f, g):
-    if f.grid is not g.grid and f.grid.shape != g.grid.shape:
+    """Raise unless f and g are forms of one type and degree on one grid:
+    the same object, or grids built alike (domain, h, margin and shape),
+    whose masks are then the same."""
+    a, b = f.grid, g.grid
+    if a is not b and (a.domain, a.h, a.margin, a.shape) != (b.domain, b.h, b.margin, b.shape):
         raise ValidationError("forms live on different grids")
     df = getattr(f, "degree", None) if isinstance(f, RealForm) else tuple(f.bidegree)
     dg = getattr(g, "degree", None) if isinstance(g, RealForm) else tuple(g.bidegree)
@@ -268,18 +273,26 @@ def weighted_inner(f, g, weight: Weight, mask: np.ndarray | None = None):
 
 def to_csv(form, path) -> None:
     """Flat snapshot: node index (C-order over the box), coefficient
-    position (lexicographic layout), value (re/im columns when complex)."""
+    position (lexicographic layout), value (re/im columns when complex).
+    Values are written by repr, so they read back exactly; lines end in
+    CRLF, as the csv module writes them.  The lines go out CSV_CHUNK at a
+    time, so the text of a large form is never held whole."""
     complex_form = isinstance(form, ComplexForm)
     flat = form.coeffs.reshape(form.coeffs.shape[0], form.grid.interior.size)
-    k, node = np.indices(flat.shape).reshape(2, -1).tolist()
-    values = flat.ravel()
-    columns = [node, k, map(repr, np.asarray(values.real, dtype=float).tolist())]
-    if complex_form:
-        columns.append(map(repr, values.imag.tolist()))
+    if not complex_form:
+        flat = np.asarray(flat, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "coeff", "value"] + (["value_im"] if complex_form else []))
-        writer.writerows(zip(*columns))
+        fh.write("node,coeff,value,value_im\r\n" if complex_form else "node,coeff,value\r\n")
+        for k, row in enumerate(flat):
+            for start in range(0, row.size, CSV_CHUNK):
+                part = row[start:start + CSV_CHUNK]
+                nodes = range(start, start + part.size)
+                if complex_form:
+                    lines = [f"{i},{k},{re!r},{im!r}\r\n" for i, re, im
+                             in zip(nodes, part.real.tolist(), part.imag.tolist())]
+                else:
+                    lines = [f"{i},{k},{value!r}\r\n" for i, value in zip(nodes, part.tolist())]
+                fh.write("".join(lines))
 
 
 def from_csv(grid: Grid, degree_or_bidegree, path):

@@ -154,7 +154,8 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
     A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  Its hierarchy is
     built on the first call, so maps that are never solved do not pay
-    for it.
+    for it; a complex map's hierarchy holds two parts side by side, so
+    the real and imaginary parts of a residual share one cycle.
     """
     phi_s = grid.phi_values(weight, dof_mask)
     shift = float(phi_s.min()) if phi_s.size else 0.0
@@ -208,7 +209,9 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         def preconditioner(r):
             nonlocal multigrid
             if multigrid is None:
-                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale)
+                # a complex map's residuals run their two parts through one cycle
+                parts = 2 if np.dtype(dtype).kind == "c" else 1
+                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale, parts)
             out = multigrid(r[0])
             out /= w_t
             return out[None]

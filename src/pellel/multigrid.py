@@ -29,6 +29,15 @@ coarse correction and black then red after it, and solves the coarsest
 level exactly.  As an operator it is therefore symmetric and positive
 definite, whatever the coarse scale: a valid preconditioner for
 conjugate gradients.
+
+A complex residual is two real ones, its real and imaginary parts.  A
+hierarchy built for two parts holds two copies of every level side by
+side, so one cycle serves both parts and each numpy call of a level
+covers the two; the result equals one cycle per part.  That saves the
+overhead of half the calls, which is most of a cycle's cost on a small
+grid and little of it on a large one, so a hierarchy whose finest level
+has more than JOINT_NODES nodes per colour keeps one copy and runs the
+parts in turn, and its memory stays that of a real one.
 """
 
 from __future__ import annotations
@@ -40,6 +49,49 @@ import numpy as np
 
 COARSEST_NODES = 64  # a level with at most this many nodes per class is solved exactly
 COARSE_SCALE = 0.5  # coarse operator = COARSE_SCALE * R S P
+JOINT_NODES = 16384  # finest nodes per colour up to which the parts share a cycle
+FINEST_SLABS = 8  # the finest level is written in up to this many slabs along the first axis
+SLAB_NODES = 8192  # and each slab spans at least this many box nodes
+
+
+class _Views:
+    """The views through which a cycle over n parts works on one level:
+    one colour of each array spans the n copies, so each numpy call
+    serves all parts.  A neighbour view that runs from one copy into the
+    next pairs with edges that are 0 there, as at the margins, since an
+    edge joins two nodes of the level."""
+
+    def __init__(self, lev: "_Level", n: int, t_buf, w_buf):
+        size = n * lev.half
+
+        def view(buf, parity, offset=0):
+            start = lev.base[parity] + offset
+            return buf[start:start + size]
+
+        # per colour: x, b, diag, and (edge, neighbour) views, up then down
+        # each axis; the neighbours of flat index f at f +- s have the
+        # other colour
+        self.colours = []
+        for parity in (0, 1):
+            pairs = []
+            for e_buf, s in zip(lev.e_bufs, lev.strides):
+                up, down = (s - 1) // 2 + parity, (s + 1) // 2 - parity
+                pairs.append((view(e_buf, parity), view(lev.x_buf, 1 - parity, up)))
+                pairs.append((view(e_buf, 1 - parity, -down), view(lev.x_buf, 1 - parity, -down)))
+            self.colours.append((view(lev.x_buf, parity), view(lev.b_buf, parity),
+                                 view(lev.d_buf, parity), pairs))
+        self.t = t_buf[:size]
+        self.w = w_buf[:size]
+        # the children of the next level's nodes, the red children's
+        # residuals in t, and the next level's nodes: their buffer
+        # positions and a work array in w.  One part drops the parts axis.
+        parts = 0 if n == 1 else slice(None)
+        self.x_children = [lev.child(lev.x_buf, o, n)[parts] for o in lev.offsets]
+        self.red_children = [lev.child(t_buf, o, n, red_only=True)[parts]
+                             for o in lev.offsets if sum(o) % 2 == 0]
+        self.coarse_index = lev.coarse_index[:n][parts]
+        c_shape = lev.coarse_index.shape[1:]
+        self.coarse = self.w[:n * math.prod(c_shape)].reshape((n,) + c_shape)[parts]
 
 
 class _Level:
@@ -49,107 +101,106 @@ class _Level:
     Their flat layout has one more node on every spatial axis but the
     first, which makes the strides of the spatial axes odd: a node's flat
     index f is then even exactly when its red-black colour (the parity of
-    k_1 + ... + k_N) is red.  Each array is stored split by colour: red
-    node f at base[0] + f // 2 and black node f at base[1] + f // 2 of one
-    buffer, each half in a zero margin wider than the largest stride.  One
-    colour, its neighbours along any axis, and the children of the next
-    level's nodes are then contiguous views, and a half-sweep touches only
-    the nodes it updates.  Nodes off the mask have diag 1 and no edges, so
-    they stay 0.  The work buffers t and w hold one colour each, in the
-    order of the red half; they are shared by all levels.
+    k_1 + ... + k_N) is red.  Each array is stored split by colour, with
+    a copy per part side by side: red node f of copy p at base[0] +
+    p * half + f // 2 and black node f at base[1] + p * half + f // 2 of
+    one buffer, each colour in a zero margin wider than the largest
+    stride.  One colour, its neighbours along any axis, and the children
+    of the next level's nodes are then contiguous views, and a half-sweep
+    touches only the nodes it updates.  Nodes off the mask have diag 1
+    and no edges, so they stay 0.  The work buffers t and w hold one
+    colour of each part, in the order of the red half; they are shared
+    by all levels.  views(n) serves a cycle over n parts.
     """
 
-    def __init__(self, logical: tuple[int, ...], t_buf, w_buf):
+    def __init__(self, logical: tuple[int, ...], parts: int, t_buf, w_buf):
         shape = logical[:2] + tuple(m + 1 for m in logical[2:])
-        self.logical, self.shape = logical, shape
-        size = math.prod(shape)
-        half = size // 2
+        self.logical, self.shape, self.parts = logical, shape, parts
+        self.half = half = math.prod(shape) // 2
         self.strides = [math.prod(shape[ax + 1:]) for ax in range(1, len(shape))]
         margin = self.strides[0] + 1
-        self.base = np.array([margin, half + 2 * margin])
+        self.base = np.array([margin, parts * half + 2 * margin])
         self.inside = tuple(slice(0, m) for m in logical)
 
         def stored(fill):
-            buf = np.zeros(2 * half + 3 * margin)
-            for b in self.base:
-                buf[b:b + half] = fill
+            buf = np.zeros(2 * parts * half + 3 * margin)
+            if fill:
+                for b in self.base:
+                    buf[b:b + parts * half] = fill
             return buf
-
-        def view(buf, parity, offset=0):
-            start = self.base[parity] + offset
-            return buf[start:start + half]
 
         self.x_buf, self.b_buf, self.d_buf = stored(0.0), stored(0.0), stored(1.0)
         self.e_bufs = [stored(0.0) for _ in self.strides]
-        # per colour: x, b, diag, and (edge, neighbour) views, up then down
-        # each axis; the neighbours of flat index f at f +- s have the
-        # other colour
-        self.colours = []
-        for parity in (0, 1):
-            pairs = []
-            for e_buf, s in zip(self.e_bufs, self.strides):
-                up, down = (s - 1) // 2 + parity, (s + 1) // 2 - parity
-                pairs.append((view(e_buf, parity), view(self.x_buf, 1 - parity, up)))
-                pairs.append((view(e_buf, 1 - parity, -down), view(self.x_buf, 1 - parity, -down)))
-            self.colours.append((view(self.x_buf, parity), view(self.b_buf, parity),
-                                 view(self.d_buf, parity), pairs))
-        self.t = t_buf[:half]
-        self.w = w_buf[:half]
-        # the next level's nodes K and the offsets o of their children; the
-        # red children's residuals are views of t
+        # the next level's nodes K and the offsets o of their children
         self.coarse_inside = (slice(None),) + tuple(slice(0, m // 2) for m in logical[1:])
         self.offsets = list(itertools.product((0, 1), repeat=len(logical) - 1))
-        self.x_children = [self.child(self.x_buf, o) for o in self.offsets]
-        self.red_children = [self.child(t_buf, o, red_only=True) for o in self.offsets
-                             if sum(o) % 2 == 0]
+        self.t_buf, self.w_buf = t_buf, w_buf
+        self._views = {}
         self.inverse = None
 
-    def child(self, buf, offset, red_only=False):
-        """The child at this offset of each next-level node K, as a view in
-        the shape of K of a stored array, or with red_only of a buffer that
-        holds the red half alone.  With a colour half shaped
-        (2^N, m_1 / 2, n_2, ..., n_N), that child sits at
-        K + (sum_a o_a strides_a) // 2 in flat order."""
+    def views(self, n: int) -> _Views:
+        """The views of a cycle over n parts, made on its first use."""
+        if n not in self._views:
+            self._views[n] = _Views(self, n, self.t_buf, self.w_buf)
+        return self._views[n]
+
+    def child(self, buf, offset, n=1, red_only=False):
+        """The child at this offset of each next-level node K in n copies,
+        as a view of shape (n,) + the shape of K of a stored array, or
+        with red_only of a buffer that holds the red halves alone.  With a
+        colour half shaped (2^N, m_1 / 2, n_2, ..., n_N), that child sits
+        at K + (sum_a o_a strides_a) // 2 in flat order."""
         shift = sum(o * s for o, s in zip(offset, self.strides))
-        half = math.prod(self.shape) // 2
         start = shift // 2 + (0 if red_only else self.base[shift % 2])
         halved = self.shape[:1] + (self.shape[1] // 2,) + self.shape[2:]
-        return buf[start:start + half].reshape(halved)[self.coarse_inside]
+        part = buf[start:start + n * self.half].reshape((n,) + halved)
+        return part[(slice(None),) + self.coarse_inside]
 
     def split(self, flat):
-        """Buffer position of the nodes with these flat indices."""
+        """Buffer position in copy 0 of the nodes with these flat indices."""
         return self.base[flat % 2] + flat // 2
 
     def logical_index(self) -> np.ndarray:
-        """Buffer position of every node, in the logical shape."""
-        return self.split(np.arange(math.prod(self.shape)).reshape(self.shape)[self.inside])
+        """Buffer position of every node in each copy, shape (parts,) +
+        the logical shape."""
+        index = self.split(np.arange(math.prod(self.shape)).reshape(self.shape)[self.inside])
+        return index + self.half * np.arange(self.parts).reshape((-1,) + (1,) * index.ndim)
+
+    def mirror(self) -> None:
+        """Copy copy 0 of the diagonal and the edges into the others."""
+        for buf in [self.d_buf] + self.e_bufs:
+            for b in self.base:
+                run = buf[b:b + self.parts * self.half].reshape(self.parts, self.half)
+                run[1:] = run[0]
 
     def coarsened(self, active, t_buf, w_buf):
         """The next level, with the coefficients of COARSE_SCALE * R S P,
         and its mask: a coarse node is on it when any of its children is."""
         coarse = tuple(m // 2 for m in self.logical[1:])
-        low = _Level(self.logical[:1] + tuple(m + m % 2 for m in coarse), t_buf, w_buf)
-        self.coarse_index = low.logical_index()[self.coarse_inside]
-        self.coarse_w = self.w[:self.coarse_index.size].reshape(self.coarse_index.shape)
-        c_active = np.zeros(self.coarse_index.shape, dtype=bool)
-        c_diag = np.zeros(self.coarse_index.shape)
-        c_edges = [np.zeros(self.coarse_index.shape) for _ in self.e_bufs]
+        low = _Level(self.logical[:1] + tuple(m + m % 2 for m in coarse), self.parts,
+                     t_buf, w_buf)
+        self.coarse_index = low.logical_index()[(slice(None),) + self.coarse_inside]
+        c_shape = self.coarse_index.shape[1:]
+        c_active = np.zeros(c_shape, dtype=bool)
+        c_diag = np.zeros(c_shape)
+        c_edges = [np.zeros(c_shape) for _ in self.e_bufs]
         for offset in self.offsets:
             on = active[(slice(None),) + tuple(slice(o, m, 2) for o, m in zip(offset, self.logical[1:]))]
             c_active |= on
-            c_diag += np.where(on, self.child(self.d_buf, offset), 0.0)
+            c_diag += np.where(on, self.child(self.d_buf, offset)[0], 0.0)
             for o, e_buf, c_e in zip(offset, self.e_bufs, c_edges):
                 # a child at an even position along the axis is joined to its
                 # sibling inside the aggregate, one at an odd position to the
                 # next aggregate
                 if o:
-                    c_e += self.child(e_buf, offset)
+                    c_e += self.child(e_buf, offset)[0]
                 else:
-                    c_diag -= 2.0 * self.child(e_buf, offset)
+                    c_diag -= 2.0 * self.child(e_buf, offset)[0]
         scale = COARSE_SCALE / len(self.offsets)
         for e_buf, c_e in zip(low.e_bufs, c_edges):
-            e_buf[self.coarse_index] = scale * c_e
-        low.d_buf[self.coarse_index] = np.where(c_active, scale * c_diag, 1.0)
+            e_buf[self.coarse_index[0]] = scale * c_e
+        low.d_buf[self.coarse_index[0]] = np.where(c_active, scale * c_diag, 1.0)
+        low.mirror()
         low_active = np.zeros(low.logical, dtype=bool)
         low_active[self.coarse_inside] = c_active
         return low, low_active
@@ -158,53 +209,77 @@ class _Level:
         """Make this the coarsest level: a dense inverse of its operator on
         each class, where the nodes off the mask have identity rows."""
         self.index = self.logical_index()
-        diag = self.d_buf[self.index]
+        diag = self.d_buf[self.index[0]]
         n_class, per_class = diag.shape[0], diag[0].size
         mat = np.zeros((n_class, per_class, per_class))
         node = np.arange(per_class)
         mat[:, node, node] = diag.reshape(n_class, per_class)
         for ax, e_buf in enumerate(self.e_bufs):
             stride = math.prod(diag.shape[ax + 2:])
-            e = e_buf[self.index].reshape(n_class, per_class)[:, :per_class - stride]
+            e = e_buf[self.index[0]].reshape(n_class, per_class)[:, :per_class - stride]
             mat[:, node[:-stride], node[stride:]] = -e
             mat[:, node[stride:], node[:-stride]] = -e
         inv = np.linalg.inv(mat)
         self.inverse = 0.5 * (inv + inv.transpose(0, 2, 1))
 
 
-def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale) -> np.ndarray:
-    """Write S into the finest level; returns the flat index in it of
-    each equation node, in C order of the mask."""
-    dim = eq_mask.ndim
-    # the equation nodes as flat indices of the box with a border of 2,
-    # in which x +- h e_a and x + 2h e_a are in range for every node
-    padded = tuple(n + 4 for n in eq_mask.shape)
-    eq = np.zeros(padded, dtype=bool)
-    eq[(slice(2, -2),) * dim] = eq_mask
-    nodes = np.flatnonzero(eq)
-    # where each node sits: its class (i_a mod 2 on each axis) and its
-    # position i_a // 2 within the class
+def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
+    """Write S into the finest level.  Returns the buffer position in copy
+    0 of each equation node, in C order of the mask, and the level's mask
+    in its logical shape.
+
+    The nodes are taken in slabs along the first axis (FINEST_SLABS of
+    them, fewer on a small box).  Each slab works on a window of the masks
+    with a border of 2, in which x +- h e_a and x + 2h e_a are in range
+    for every node of the slab, so on a large box its temporaries stay a
+    fraction of the mask."""
+    dim, rows = eq_mask.ndim, eq_mask.shape[0]
     class_size = math.prod(top.shape[1:])
-    pos = np.zeros(nodes.size, dtype=np.intp)
-    for ax, (i, s) in enumerate(zip(np.unravel_index(nodes, padded), top.strides)):
-        i -= 2
-        pos += (i & 1) * (2 ** (dim - 1 - ax) * class_size) + (i >> 1) * s
-    winv = np.zeros(padded)
-    winv[(slice(2, -2),) * dim][dof_mask] = 1.0 / w_s
-    winv = winv.ravel()
-    diag = np.zeros(nodes.size)
-    at = top.split(pos)
-    for ax, edge in enumerate(top.e_bufs):
-        s = math.prod(padded[ax + 1:])
-        k = axis_scale[ax] / (4.0 * h * h)
-        up = k * winv[nodes + s]
-        diag += up
-        diag += k * winv[nodes - s]
-        # the edge from x to x + 2h e_a joins two equation nodes
-        up *= eq.ravel()[nodes + 2 * s]
-        edge[at] = up
-    top.d_buf[at] = diag
-    return pos
+    k = [s / (4.0 * h * h) for s in axis_scale]
+    # where each row's dof nodes start in w_s
+    dof_start = np.zeros(rows + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(dof_mask.reshape(rows, -1), axis=1), out=dof_start[1:])
+    at = np.empty(np.count_nonzero(eq_mask), dtype=np.intp)
+    active = np.zeros(math.prod(top.shape), dtype=bool)
+    done = 0
+    step = max(-(-rows // FINEST_SLABS), -(-SLAB_NODES * rows // eq_mask.size))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        # window row j holds box row r0 - 2 + j; rows outside the box stay empty
+        padded = (r1 - r0 + 4,) + tuple(n + 4 for n in eq_mask.shape[1:])
+        row = math.prod(padded[1:])
+        lo, hi = max(r0 - 2, 0), min(r1 + 2, rows)
+        inner = (slice(lo - r0 + 2, hi - r0 + 2),) + (slice(2, -2),) * (dim - 1)
+        eq = np.zeros(padded, dtype=bool)
+        eq[inner] = eq_mask[lo:hi]
+        winv = np.zeros(padded)
+        winv[inner][dof_mask[lo:hi]] = 1.0 / w_s[dof_start[lo]:dof_start[hi]]
+        eq, winv = eq.ravel(), winv.ravel()
+        # the slab's equation nodes as flat indices of the window, and where
+        # each sits: its class (i_a mod 2 on each axis) and its position
+        # i_a // 2 within the class
+        nodes = np.flatnonzero(eq[2 * row:(r1 - r0 + 2) * row])
+        nodes += 2 * row
+        pos = np.zeros(nodes.size, dtype=np.intp)
+        for ax, (i, s) in enumerate(zip(np.unravel_index(nodes, padded), top.strides)):
+            i += r0 - 2 if ax == 0 else -2
+            pos += (i & 1) * (2 ** (dim - 1 - ax) * class_size) + (i >> 1) * s
+        active[pos] = True
+        slab_at = at[done:done + pos.size]
+        slab_at[:] = top.split(pos)
+        done += pos.size
+        diag = np.zeros(nodes.size)
+        for ax, edge in enumerate(top.e_bufs):
+            s = math.prod(padded[ax + 1:])
+            up = k[ax] * winv[nodes + s]
+            diag += up
+            diag += k[ax] * winv[nodes - s]
+            # the edge from x to x + 2h e_a joins two equation nodes
+            up *= eq[nodes + 2 * s]
+            edge[slab_at] = up
+        top.d_buf[slab_at] = diag
+    top.mirror()
+    return at, active.reshape(top.shape)[top.inside]
 
 
 class ParityMultigrid:
@@ -215,25 +290,26 @@ class ParityMultigrid:
     one-node dilation of eq_mask; w_s holds the source weights at the
     dof_mask nodes in C order, and axis_scale[a] is c_a.  Calling the
     object on a real or complex vector over eq_mask returns the cycle
-    applied to it; real and imaginary parts run through the same
-    hierarchy.  The buffers are reused, so an object serves one thread at
-    a time.
+    applied to it.  With parts=2, and a finest level of at most
+    JOINT_NODES nodes per colour, the real and imaginary parts of a
+    complex vector share one cycle; otherwise each takes its own.  Either
+    way a finite vector gets the result of one cycle per part.  The
+    buffers are reused, so an object serves one thread at a time.
     """
 
     def __init__(self, eq_mask: np.ndarray, dof_mask: np.ndarray, w_s: np.ndarray,
-                 h: float, axis_scale):
+                 h: float, axis_scale, parts: int = 1):
         dim = eq_mask.ndim
         logical = (2 ** dim,) + tuple(-(-n // 4) * 2 for n in eq_mask.shape)
-        # t holds one colour, plus room for the shifted views of red children
         size = math.prod(logical[:2]) * math.prod(m + 1 for m in logical[2:])
-        t_buf = np.empty(size // 2 + size // logical[0] // logical[1])
-        w_buf = np.empty(size // 2)
-        top = _Level(logical, t_buf, w_buf)
-        flat = _set_finest(top, eq_mask, dof_mask, w_s, h, axis_scale)
-        active = np.zeros(top.shape, dtype=bool)
-        active.reshape(-1)[flat] = True
-        active = active[top.inside]
-        self.pos = top.split(flat)
+        if size // 2 > JOINT_NODES:
+            parts = 1
+        # t holds one colour of each part, plus room for the shifted views
+        # of red children
+        t_buf = np.empty(parts * (size // 2) + size // logical[0] // logical[1])
+        w_buf = np.empty(parts * (size // 2))
+        top = _Level(logical, parts, t_buf, w_buf)
+        self.pos, active = _set_finest(top, eq_mask, dof_mask, w_s, h, axis_scale)
 
         self.levels = [top]
         while active[0].size > COARSEST_NODES and max(active.shape[1:]) > 2:
@@ -244,60 +320,62 @@ class ParityMultigrid:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(r):
             out = np.empty(r.shape, dtype=complex)
-            self._cycle_from(r.real, out.real)
-            self._cycle_from(r.imag, out.imag)
-            return out
-        out = np.empty(r.shape)
-        self._cycle_from(r, out)
+            parts, outs = (r.real, r.imag), (out.real, out.imag)
+        else:
+            out = np.empty(r.shape)
+            parts, outs = (r,), (out,)
+        top = self.levels[0]
+        for first in range(0, len(parts), top.parts):
+            n = min(top.parts, len(parts) - first)
+            for p in range(n):
+                top.b_buf[p * top.half:][self.pos] = parts[first + p]
+            self._cycle(0, n)
+            for p in range(n):
+                np.take(top.x_buf[p * top.half:], self.pos, out=outs[first + p], mode="clip")
         return out
 
-    def _cycle_from(self, r, out) -> None:
-        top = self.levels[0]
-        top.b_buf[self.pos] = r
-        self._cycle(0)
-        np.take(top.x_buf, self.pos, out=out, mode="clip")
-
-    def _cycle(self, depth: int) -> None:
+    def _cycle(self, depth: int, n: int) -> None:
         lev = self.levels[depth]
         if lev.inverse is not None:
-            b = lev.b_buf[lev.index]
-            x = np.matmul(lev.inverse, b.reshape(b.shape[0], -1, 1))
-            lev.x_buf[lev.index] = x.reshape(b.shape)
+            b = lev.b_buf[lev.index[:n]]
+            x = np.matmul(lev.inverse, b.reshape(b.shape[:2] + (-1, 1)))
+            lev.x_buf[lev.index[:n]] = x.reshape(b.shape)
             return
         low = self.levels[depth + 1]
-        red, black = lev.colours
+        views = lev.views(n)
+        red, black = views.colours
         x_red, b_red, d_red, _ = red
         np.divide(b_red, d_red, out=x_red)  # red half-sweep from x = 0
-        self._half_sweep(lev, black)
+        self._half_sweep(views, black)
         # the residual, in t; it vanishes on black nodes after a black half-sweep
-        self._accumulate(lev, red, lev.t)
-        np.multiply(d_red, x_red, out=lev.w)
-        lev.t -= lev.w
+        self._accumulate(views, red, views.t)
+        np.multiply(d_red, x_red, out=views.w)
+        views.t -= views.w
         # restrict: each coarse node averages its children's residuals
-        coarse = lev.coarse_w
-        np.copyto(coarse, lev.red_children[0])
-        for child in lev.red_children[1:]:
+        coarse = views.coarse
+        np.copyto(coarse, views.red_children[0])
+        for child in views.red_children[1:]:
             coarse += child
-        coarse *= 1.0 / len(lev.x_children)
-        low.b_buf[lev.coarse_index] = coarse
-        self._cycle(depth + 1)
+        coarse *= 1.0 / len(views.x_children)
+        low.b_buf[views.coarse_index] = coarse
+        self._cycle(depth + 1, n)
         # prolong: each child takes its coarse node's value
-        np.take(low.x_buf, lev.coarse_index, out=coarse, mode="clip")
-        for child in lev.x_children:
+        np.take(low.x_buf, views.coarse_index, out=coarse, mode="clip")
+        for child in views.x_children:
             child += coarse
-        self._half_sweep(lev, black)
-        self._half_sweep(lev, red)
+        self._half_sweep(views, black)
+        self._half_sweep(views, red)
 
     @staticmethod
-    def _accumulate(lev, colour, out) -> None:
+    def _accumulate(views, colour, out) -> None:
         """out = b + the couplings of the colour's nodes to their neighbours."""
         _, b, _, pairs = colour
         np.copyto(out, b)
         for e, x in pairs:
-            np.multiply(e, x, out=lev.w)
-            out += lev.w
+            np.multiply(e, x, out=views.w)
+            out += views.w
 
-    def _half_sweep(self, lev, colour) -> None:
+    def _half_sweep(self, views, colour) -> None:
         x, _, diag, _ = colour
-        self._accumulate(lev, colour, lev.t)
-        np.divide(lev.t, diag, out=x)
+        self._accumulate(views, colour, views.t)
+        np.divide(views.t, diag, out=x)

@@ -1,93 +1,141 @@
 """Pointwise and integral identities for the weighted codifferential,
 checked on polynomial test forms with exact symbolic differentiation.
 
-Polynomial forms keep a dictionary of monomial coefficients per
-increasing multiindex, so exterior derivatives and coefficient access are
-exact; only the final evaluation rounds.  The integral identity check
-(the weighted integration-by-parts identity linking |T* a|^2 + |d a|^2 to
-the Hessian, gradient and boundary terms) combines interior midpoint
-quadrature with the parametrized boundary quadrature; its tolerance is
-dominated by the O(h) boundary-cell error of the midpoint rule.
+A polynomial is a dense coefficient tensor over an exponent box:
+coef[e_1, ..., e_N] multiplies x_1^e_1 ... x_N^e_N.  A polynomial p-form
+stacks one such tensor per increasing multiindex, in the lexicographic
+layout, over one box.  Its exterior derivative and first derivatives are
+exact array operations (shifts scaled by the exponents, and sums of
+signed coefficients); an evaluation is one product of the coefficients
+with the table of the box's monomials at the points, and only it rounds.
+The integral identity check (the weighted integration-by-parts identity
+linking |T* a|^2 + |d a|^2 to the Hessian, gradient and boundary terms)
+combines interior midpoint quadrature with the parametrized boundary
+quadrature; its tolerance is dominated by the O(h) boundary-cell error
+of the midpoint rule.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .domain import BoundaryQuadrature, Domain, Grid, Weight, estimate_c
 from .errors import ValidationError
 from .forms import weighted_sum
-from .multiindex import (MultiIndex, increasing_indices, index_positions,
+from .multiindex import (MultiIndex, increasing_indices, index_positions, prepend,
                          remove, sort_signature)
 
 
+def _monomials(points: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """x^e at each point for every exponent e of the box, e in C order:
+    shape (prod(box), number of points)."""
+    x = np.asarray(points, dtype=float).reshape(len(box), -1)
+    # powers[k, a] = x_a^k by repeated multiplication
+    powers = np.empty((max(box),) + x.shape)
+    powers[0] = 1.0
+    for k in range(1, len(powers)):
+        np.multiply(powers[k - 1], x, out=powers[k])
+    table = powers[:box[0], 0]
+    for a, m in enumerate(box[1:], 1):
+        table = (table[:, None] * powers[:m, a]).reshape(-1, x.shape[1])
+    return table
+
+
+@lru_cache(maxsize=None)
+def _jet_gather(box: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(source, factor), each of shape (N + 1, prod(box)), for the first
+    jet of coefficient tensors over the box in flat C order: row 0 is the
+    identity and row a the exact derivative along x_a, out[f] =
+    factor[a, f] * coef[source[a, f]].  The coefficient of x^e becomes
+    (e_a + 1) times that of x^(e + e_a), and 0 on the box's last layer."""
+    size = math.prod(box)
+    exponents = np.indices(box).reshape(len(box), size)
+    flat = np.arange(size)
+    source, factor = [flat], [np.ones(size)]
+    for a, m in enumerate(box):
+        inside = exponents[a] + 1 < m
+        source.append(np.where(inside, flat + math.prod(box[a + 1:]), flat))
+        factor.append(np.where(inside, exponents[a] + 1.0, 0.0))
+    source, factor = np.array(source), np.array(factor)
+    source.flags.writeable = factor.flags.writeable = False
+    return source, factor
+
+
+def _first_jet(coef: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
+    """Rows of flat coefficient tensors, shape (R, prod(box)), with their
+    first partial derivatives: shape (R, N + 1, prod(box)), [:, 0] the
+    tensors themselves and [:, a] their derivatives along x_a."""
+    source, factor = _jet_gather(box)
+    return coef[:, source] * factor
+
+
+def _boxed(coefs, shape: tuple[int, ...]) -> np.ndarray:
+    """Stack coefficient tensors, each padded with zeros to the box shape."""
+    out = np.zeros((len(coefs),) + shape)
+    for dst, c in zip(out, coefs):
+        dst[tuple(slice(0, m) for m in c.shape)] = c
+    return out
+
+
 class Poly:
-    """Multivariate polynomial with exact derivative support."""
+    """Multivariate polynomial with exact derivative support: coef[e] is
+    the coefficient of x^e over the exponent box coef.shape."""
 
     __slots__ = ("nvars", "coef")
 
-    def __init__(self, nvars: int, coef: dict | None = None):
+    def __init__(self, nvars: int, coef: np.ndarray | None = None):
         self.nvars = nvars
-        self.coef = {}
-        for e, c in (coef or {}).items():
-            if c:
-                self.coef[tuple(int(k) for k in e)] = float(c)
+        self.coef = np.zeros((1,) * nvars) if coef is None else np.asarray(coef, dtype=float)
+        if self.coef.ndim != nvars:
+            raise ValidationError(
+                f"a polynomial in {nvars} variables needs {nvars} exponent axes, "
+                f"got {self.coef.ndim}")
 
     @staticmethod
     def constant(nvars: int, value: float) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: value})
+        return Poly(nvars, np.full((1,) * nvars, float(value)))
 
     @staticmethod
     def variable(nvars: int, j: int) -> "Poly":
         """x_j, 1-based."""
-        e = [0] * nvars
-        e[j - 1] = 1
-        return Poly(nvars, {tuple(e): 1.0})
+        coef = np.zeros(tuple(2 if a == j - 1 else 1 for a in range(nvars)))
+        coef.flat[1] = 1.0
+        return Poly(nvars, coef)
 
     def deriv(self, j: int) -> "Poly":
         """Exact partial derivative along the 1-based axis j."""
-        out = {}
-        for e, c in self.coef.items():
-            if e[j - 1]:
-                e2 = list(e)
-                e2[j - 1] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), 0.0) + c * e[j - 1]
-        return Poly(self.nvars, out)
+        box = self.coef.shape
+        jet = _first_jet(self.coef.reshape(1, -1), box)
+        return Poly(self.nvars, jet[0, j].reshape(box))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[1:])
-        for e, c in self.coef.items():
-            term = np.full(pts.shape[1:], c)
-            for ax, k in enumerate(e):
-                if k:
-                    term = term * pts[ax] ** k
-            out += term
-        return out
+        values = self.coef.reshape(-1) @ _monomials(points, self.coef.shape)
+        return values.reshape(np.shape(points)[1:])
+
+    def _boxed_with(self, other: "Poly") -> np.ndarray:
+        return _boxed((self.coef, other.coef),
+                      tuple(np.maximum(self.coef.shape, other.coef.shape)))
 
     def __add__(self, other):
-        out = dict(self.coef)
-        for e, c in other.coef.items():
-            out[e] = out.get(e, 0.0) + c
-        return Poly(self.nvars, out)
+        a, b = self._boxed_with(other)
+        return Poly(self.nvars, a + b)
 
     def __sub__(self, other):
-        out = dict(self.coef)
-        for e, c in other.coef.items():
-            out[e] = out.get(e, 0.0) - c
-        return Poly(self.nvars, out)
+        a, b = self._boxed_with(other)
+        return Poly(self.nvars, a - b)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            out = {}
-            for e1, c1 in self.coef.items():
-                for e2, c2 in other.coef.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    out[e] = out.get(e, 0.0) + c1 * c2
+            a, b = self.coef, other.coef
+            out = np.zeros(tuple(i + j - 1 for i, j in zip(a.shape, b.shape)))
+            for e in zip(*np.nonzero(a)):
+                out[tuple(slice(k, k + m) for k, m in zip(e, b.shape))] += a[e] * b
             return Poly(self.nvars, out)
-        return Poly(self.nvars, {e: c * float(other) for e, c in self.coef.items()})
+        return Poly(self.nvars, self.coef * float(other))
 
     __rmul__ = __mul__
 
@@ -96,73 +144,108 @@ class Poly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.coef
+        return not self.coef.any()
 
 
-@dataclass
+@lru_cache(maxsize=None)
+def _d_matrix(nvars: int, degree: int) -> np.ndarray:
+    """Exterior derivative on first jets of the coefficients: entry
+    [pos(J'), pos(J) (N + 1) + j] is the sign of dx_j ^ dx_J = sign dx_J'
+    (see _first_jet for the layout of the columns)."""
+    pos = index_positions(nvars, degree)
+    out_pos = index_positions(nvars, degree + 1)
+    mat = np.zeros((len(out_pos), len(pos) * (nvars + 1)))
+    for J, k in pos.items():
+        for j in range(1, nvars + 1):
+            signed = prepend(j, J, nvars)
+            if signed.sign:
+                mat[out_pos[signed.index], k * (nvars + 1) + j] = signed.sign
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=None)
+def _jet_matrix(nvars: int, degree: int) -> np.ndarray:
+    """Signed selection of a_{jI} from the components: entry [pos(I) N +
+    j - 1, pos(J)] is the sign of sort_signature((j,) + I) when that sorts
+    to J, and the rows with j in I stay 0."""
+    pos = index_positions(nvars, degree)
+    low = index_positions(nvars, degree - 1)
+    mat = np.zeros((len(low) * nvars, len(pos)))
+    for J, k in pos.items():
+        for j in J:
+            I, sign = remove(J, j)
+            mat[low[I] * nvars + j - 1, k] = sign
+    mat.flags.writeable = False
+    return mat
+
+
 class PolyForm:
-    """Polynomial p-form: exact coefficients per increasing multiindex."""
+    """Polynomial p-form: coef[k] is the coefficient tensor (see Poly) of
+    the k-th increasing p-index in lexicographic order, all over one
+    exponent box.  comps maps each increasing index (tuple) to its Poly."""
 
-    nvars: int
-    degree: int
-    comps: dict
+    __slots__ = ("nvars", "degree", "coef")
 
-    def __post_init__(self):
-        clean = {}
-        for key, poly in self.comps.items():
-            idx = MultiIndex(key, self.nvars)
-            if idx.degree != self.degree:
+    def __init__(self, nvars: int, degree: int, comps: dict):
+        pos = index_positions(nvars, degree)
+        given = {}
+        for key, poly in comps.items():
+            idx = MultiIndex(key, nvars)
+            if idx.degree != degree:
                 raise ValidationError(f"component {tuple(idx)} has wrong degree")
-            if not poly.is_zero:
-                clean[idx] = poly
-        self.comps = clean
+            given[pos[idx]] = poly.coef
+        box = tuple(np.max([c.shape for c in given.values()], axis=0)) if given else (1,) * nvars
+        coefs = [given.get(k, np.zeros((1,) * nvars)) for k in range(len(pos))]
+        self.nvars, self.degree, self.coef = nvars, degree, _boxed(coefs, box)
+
+    @classmethod
+    def _of(cls, nvars: int, degree: int, coef: np.ndarray) -> "PolyForm":
+        """The form with these stacked coefficient tensors."""
+        form = cls.__new__(cls)
+        form.nvars, form.degree, form.coef = nvars, degree, coef
+        return form
+
+    @property
+    def comps(self) -> dict:
+        """The nonzero components, as {increasing index: Poly}."""
+        return {idx: Poly(self.nvars, c)
+                for idx, c in zip(increasing_indices(self.nvars, self.degree), self.coef)
+                if c.any()}
 
     def component(self, seq) -> Poly:
         """Signed coefficient for an arbitrary index sequence."""
         signed = sort_signature(seq, self.nvars)
-        if signed.sign == 0:
+        k = index_positions(self.nvars, self.degree).get(signed.index)
+        if signed.sign == 0 or k is None:
             return Poly(self.nvars)
-        base = self.comps.get(signed.index)
-        if base is None:
-            return Poly(self.nvars)
-        return signed.sign * base
+        return Poly(self.nvars, signed.sign * self.coef[k])
 
     def d(self) -> "PolyForm":
-        from .multiindex import prepend
-        out: dict = {}
-        for idx, poly in self.comps.items():
-            for j in range(1, self.nvars + 1):
-                signed = prepend(j, idx, self.nvars)
-                if signed.sign == 0:
-                    continue
-                term = signed.sign * poly.deriv(j)
-                if signed.index in out:
-                    out[signed.index] = out[signed.index] + term
-                else:
-                    out[signed.index] = term
-        return PolyForm(self.nvars, self.degree + 1, out)
+        n, box = self.nvars, self.coef.shape[1:]
+        size = math.prod(box)
+        jet = _first_jet(self.coef.reshape(len(self.coef), size), box)
+        coef = _d_matrix(n, self.degree) @ jet.reshape(-1, size)
+        return PolyForm._of(n, self.degree + 1, coef.reshape((len(coef),) + box))
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """(ncomp, npts) array in the lexicographic layout."""
-        idxs = increasing_indices(self.nvars, self.degree)
-        out = np.zeros((len(idxs),) + np.shape(points)[1:])
-        pos = index_positions(self.nvars, self.degree)
-        for idx, poly in self.comps.items():
-            out[pos[idx]] = poly(points)
-        return out
+        box = self.coef.shape[1:]
+        values = self.coef.reshape(len(self.coef), math.prod(box)) @ _monomials(points, box)
+        return values.reshape((len(self.coef),) + np.shape(points)[1:])
 
 
 def random_polyform(rng: np.random.Generator, nvars: int, degree: int,
                     max_power: int = 2, terms: int = 4) -> PolyForm:
-    """Random polynomial form with small integer-grade coefficients."""
-    comps = {}
-    for idx in increasing_indices(nvars, degree):
-        coef = {}
+    """Random polynomial form with small integer-grade coefficients.  Per
+    term it draws the exponents, then the coefficient: integers(size=N)
+    gives the N values of N scalar integers() calls, and standard_normal()
+    the value of normal(), so a seed gives the forms of those calls."""
+    coef = np.zeros((len(increasing_indices(nvars, degree)),) + (max_power + 1,) * nvars)
+    for c in coef:
         for _ in range(terms):
-            e = tuple(int(rng.integers(0, max_power + 1)) for _ in range(nvars))
-            coef[e] = coef.get(e, 0.0) + float(rng.normal())
-        comps[idx] = Poly(nvars, coef)
-    return PolyForm(nvars, degree, comps)
+            c[tuple(rng.integers(0, max_power + 1, size=nvars).tolist())] += rng.standard_normal()
+    return PolyForm._of(nvars, degree, coef)
 
 
 def tangential_1form(domain: Domain, g: Poly | float = 1.0) -> PolyForm:
@@ -188,26 +271,21 @@ def tangential_1form(domain: Domain, g: Poly | float = 1.0) -> PolyForm:
 # ---------------------------------------------------------------------------
 
 def _jet(alpha: PolyForm, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First-order jet of a polynomial p-form at points, with each nonzero
-    component and each of its N first derivatives evaluated once.
+    """First-order jet of a polynomial p-form at points, from one table of
+    monomials.
 
     Returns a[I, j] = a_{jI} and da[I, j, k] = d a_{jI}/dx_k (j, k
     0-based), I running over the increasing (p-1)-indices in lexicographic
     order.  a_{jI} carries the sign of sort_signature((j,) + I) and is 0
     when j occurs in I.
     """
-    n = alpha.nvars
-    pos = index_positions(n, alpha.degree - 1)
-    a = np.zeros((len(pos), n) + points.shape[1:])
-    da = np.zeros((len(pos), n, n) + points.shape[1:])
-    for J, poly in alpha.comps.items():
-        val = poly(points)
-        grad = np.stack([poly.deriv(k)(points) for k in range(1, n + 1)])
-        for j in J:
-            I, sign = remove(J, j)
-            a[pos[I], j - 1] = sign * val
-            da[pos[I], j - 1] = sign * grad
-    return a, da
+    n, box = alpha.nvars, alpha.coef.shape[1:]
+    size = math.prod(box)
+    # the coefficient tensors of the a_{jI}, rows (I, j), with their derivatives
+    signed = _jet_matrix(n, alpha.degree) @ alpha.coef.reshape(len(alpha.coef), size)
+    jet = _first_jet(signed, box).reshape(-1, size)
+    values = (jet @ _monomials(points, box)).reshape((-1, n, n + 1) + np.shape(points)[1:])
+    return values[:, :, 0], values[:, :, 1:]
 
 
 def _gradient_sum(da: np.ndarray, degree: int) -> np.ndarray:
@@ -300,8 +378,12 @@ def check_bochner_identity(alpha: PolyForm, weight: Weight, domain: Domain,
     exact alpha.d(), the other terms from one jet per point set.  Returns
     a BochnerResult with the two sides and their absolute deviation.  Each
     integrand is nonnegative for a convex weight and domain, so an integral
-    that underflows to 0 raises (forms.weighted_sum).
+    that underflows to 0 raises (forms.weighted_sum).  Raises
+    ValidationError unless grid is built on domain.
     """
+    if grid.domain != domain:
+        raise ValidationError(
+            f"the grid is built on {grid.domain}, not on the checked domain {domain}")
     pts, w = _interior_quadrature(grid, weight)
     a, da = _jet(alpha, pts)
     lhs1 = weighted_sum(_t_star(a, da, weight.grad(pts)) ** 2, w)
@@ -322,7 +404,9 @@ def check_basic_estimate(alpha: PolyForm, weight: Weight, domain: Domain,
     """Margin of the coercivity estimate
     |T* a|^2 + |d a|^2 - c (p+1) |a|^2 >= 0 (up to quadrature error).
 
-    Returns (margin, reference) where reference = c (p+1) |a|^2.
+    Returns (margin, reference) where reference = c (p+1) |a|^2.  Raises
+    ValidationError unless grid is built on domain, as
+    check_bochner_identity does.
     """
     result = check_bochner_identity(alpha, weight, domain, grid, quad)
     pts, w = _interior_quadrature(grid, weight)

@@ -27,6 +27,27 @@ def test_dot_degree_mismatch(disk_grid_coarse):
         pl.dot(f, g)
 
 
+def test_forms_on_grids_of_two_domains_do_not_pair(gauss2):
+    # the two grids have one shape; weighted_inner integrated over the first
+    # form's masks, and gave 1.9972 one way round and 1.8853 the other
+    grids = [pl.build_grid(pl.Domain.ball(1.0, center=c), 1 / 16) for c in ((0.0, 0.0), (0.3, 0.0))]
+    assert grids[0].shape == grids[1].shape
+    f, g = (pl.RealForm.from_components(grid, 1, {(1,): 1.0}) for grid in grids)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValidationError, match="different grids"):
+            pl.weighted_inner(a, b, gauss2)
+        with pytest.raises(ValidationError, match="different grids"):
+            a + b
+
+
+def test_forms_on_equal_grids_built_apart_pair(disk, gauss2):
+    f, g = (pl.RealForm.from_components(pl.build_grid(disk, 1 / 16), 1, {(1,): 1.0})
+            for _ in range(2))
+    assert f.grid is not g.grid
+    assert pl.weighted_inner(f, g, gauss2) == pytest.approx(pl.norm2(f, gauss2), rel=1e-15)
+    assert np.array_equal((f - g).coeffs, np.zeros_like(f.coeffs))
+
+
 def test_weighted_inner_zero(disk_grid_coarse, gauss2):
     z = pl.RealForm.zeros(disk_grid_coarse, 1)
     assert pl.weighted_inner(z, z, gauss2) == 0.0

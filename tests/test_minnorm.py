@@ -5,7 +5,7 @@ import pytest
 
 import pellel as pl
 from pellel import calculus as calc
-from pellel import minnorm
+from pellel import minnorm, multigrid
 from pellel.errors import NotInRangeError
 from pellel.forms import n_complex_coeffs
 from pellel.minnorm import solve_min_norm, weighted_first_order_map
@@ -289,6 +289,34 @@ def test_preconditioner_symmetric_positive(case, rng):
         xmy = A.dot_target(x, A.preconditioner(y))
         assert abs(xmy - A.dot_target(A.preconditioner(x), y)) <= 1e-12 * abs(xmy)
         assert A.dot_target(x, A.preconditioner(x)) > 0.0
+
+
+@pytest.mark.parametrize("pad", [2, 0], ids=["disk", "faces"])
+@pytest.mark.parametrize("joint", [True, False], ids=["side_by_side", "in_turn"])
+def test_complex_preconditioner_call_equals_two_real_calls(monkeypatch, rng, pad, joint):
+    # a complex residual's two parts share one V-cycle, side by side in the
+    # hierarchy; above JOINT_NODES finest nodes per colour they take their
+    # turns.  Either way the result is that of one cycle per part, also
+    # where the equation mask meets the box faces (pad 0)
+    if not joint:
+        monkeypatch.setattr(multigrid, "JOINT_NODES", 0)
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 32, pad=pad)
+    A = weighted_first_order_map(grid, pl.Weight.abs2(2), calc.complex_terms(1, (0, 0), True),
+                                 1, 1, grid.mask_eq, grid.mask_dof, dtype=complex)
+    cycles = []
+    cycle = ParityMultigrid._cycle
+
+    def counted(self, depth, n):
+        if depth == 0:
+            cycles.append(n)
+        cycle(self, depth, n)
+
+    monkeypatch.setattr(ParityMultigrid, "_cycle", counted)
+    r = rng.standard_normal(A.target_shape) + 1j * rng.standard_normal(A.target_shape)
+    z = A.preconditioner(r)
+    assert cycles == ([2] if joint else [1, 1])
+    parts = A.preconditioner(r.real) + 1j * A.preconditioner(r.imag)
+    assert np.abs(z - parts).max() <= 1e-14 * np.abs(parts).max()
 
 
 def test_cgls_keeps_maps_with_several_equation_components(disk_grid_coarse, gauss2, rng):

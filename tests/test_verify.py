@@ -235,17 +235,51 @@ def test_jet_contractions_match_loop_oracle(rng, nvars):
                 _close(V._hessian_form(hess, a), _loop_hessian_form(alpha, hess, pts))
 
 
-def test_dalpha_identity_evaluates_each_polynomial_once(rng, monkeypatch):
+def test_dalpha_identity_builds_one_monomial_table_for_the_jet_and_one_for_d(rng, monkeypatch):
+    # every value and derivative of the jet comes from one table of
+    # monomials at the points, and |d a|^2 from one more, for alpha.d()
     nvars = 4
     alpha = V.random_polyform(rng, nvars, 2)
-    n_da = len(alpha.d().comps)
-    calls = []
-    evaluate = V.Poly.__call__
+    pts = rng.uniform(-1, 1, (nvars, 20))
+    tables = []
+    build = V._monomials
 
-    def counted(self, points):
-        calls.append(self)
-        return evaluate(self, points)
+    def counted(points, box):
+        tables.append(points)
+        return build(points, box)
 
-    monkeypatch.setattr(V.Poly, "__call__", counted)
-    V.check_dalpha_identity(alpha, rng.uniform(-1, 1, (nvars, 20)))
-    assert 0 < len(calls) <= len(alpha.comps) * (nvars + 1) + n_da
+    monkeypatch.setattr(V, "_monomials", counted)
+    V.check_dalpha_identity(alpha, pts)
+    assert len(tables) == 2 and all(t is pts for t in tables)
+
+
+def test_random_polyform_keeps_its_coefficients_for_a_seed():
+    # the coefficients that scalar integers() and normal() calls drew at
+    # this seed, recorded from the dictionary-backed polynomials that the
+    # arrays replaced
+    alpha = V.random_polyform(np.random.default_rng(3), 4, 2)
+    assert sorted(alpha.comps) == list(increasing_indices(4, 2))
+    expected = {
+        (1, 2): {(0, 0, 1, 1): -0.3526307943415954, (1, 1, 0, 0): -0.8652130762749417,
+                 (2, 0, 0, 0): 0.41809884672577885, (2, 1, 0, 0): -0.2155971630897659},
+        (1, 3): {(0, 2, 2, 0): -0.505228735614018, (1, 1, 1, 1): -1.0551505512051214,
+                 (1, 2, 2, 0): 0.024259565076664623, (2, 2, 2, 0): -0.2385536065733667},
+    }
+    for index, terms in expected.items():
+        coef = alpha.comps[index].coef
+        assert np.count_nonzero(coef) == len(terms)
+        for exponent, value in terms.items():
+            assert coef[exponent] == value
+
+
+@pytest.mark.parametrize("check", [V.check_bochner_identity, V.check_basic_estimate],
+                         ids=["bochner", "basic"])
+def test_integral_checks_reject_a_grid_of_another_domain(check, disk, gauss2):
+    # the radius-2 disk's form and boundary quadrature on a unit-disk grid
+    # returned a deviation of 3.82 of 66.7, a mix of two domains' integrals
+    big = pl.Domain.ball(2.0)
+    alpha = V.tangential_1form(big, V.Poly.variable(2, 1))
+    quad = pl.boundary_quadrature(big, 256)
+    with pytest.raises(ValidationError, match="domain"):
+        check(alpha, gauss2, big, pl.build_grid(disk, 1 / 16), quad)
+    check(alpha, gauss2, big, pl.build_grid(big, 1 / 8), quad)
