@@ -23,15 +23,13 @@ from .errors import ValidationError
 from .forms import ComplexForm, RealForm, n_complex_coeffs, real_expansion, wirtinger_frame
 
 
-def _to_real(*parts: ComplexForm) -> RealForm:
-    """Real part of the expansion of the sum of the parts, which share
-    the total degree p+q."""
-    g = RealForm.zeros(parts[0].grid, sum(parts[0].bidegree))
-    for f in parts:
-        # every entry is real or imaginary: a real multiindex fixes how many
-        # factors i the expansion picks
-        for r, k, e in real_expansion(f.n, f.bidegree):
-            g.coeffs[r] += e.real * f.coeffs[k].real if e.real else -e.imag * f.coeffs[k].imag
+def _to_real(f: ComplexForm) -> RealForm:
+    """Real part of the expansion of f."""
+    g = RealForm.zeros(f.grid, sum(f.bidegree))
+    # every entry is real or imaginary: a real multiindex fixes how many
+    # factors i the expansion picks
+    for r, k, e in real_expansion(f.n, f.bidegree):
+        g.coeffs[r] += e.real * f.coeffs[k].real if e.real else -e.imag * f.coeffs[k].imag
     return g
 
 
@@ -95,23 +93,6 @@ def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
     return f
 
 
-def complex2_to_real2(f20: ComplexForm, f11: ComplexForm, f02: ComplexForm,
-                      tol: float = 1e-10) -> RealForm:
-    """Real 2-form of a conjugation-symmetric triple of type components
-    (f02 = conj(f20), f11 real).  Together with real11_to_real2 this pins
-    down every sign convention of the complexified exterior derivative:
-    for a real 1-form v, d v reassembles exactly from the type components
-    of (holomorphic + antiholomorphic derivative) of its split."""
-    if tuple(f20.bidegree) != (2, 0) or tuple(f02.bidegree) != (0, 2):
-        raise ValidationError("expected (2,0) and (0,2) forms")
-    scale = max(float(np.abs(f20.coeffs).max()) if f20.coeffs.size else 0.0, 1e-300)
-    if f20.coeffs.size and float(np.abs(f02.coeffs - f20.coeffs.conj()).max()) > tol * scale:
-        raise ValidationError("(0,2) part is not the conjugate of the (2,0) part")
-    g = real11_to_real2(f11, require_real=True, tol=tol)
-    g.coeffs += _to_real(f20, f02).coeffs
-    return g
-
-
 def split_1form(v: RealForm) -> tuple[ComplexForm, ComplexForm]:
     """Split a real 1-form into its (1,0) and (0,1) parts.
 
@@ -131,13 +112,6 @@ def split_1form_coeffs(v: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     (2n, *nodes) in any node layout, box or compact."""
     v10 = _from_real(v, n, (1, 0))
     return v10, v10.conj()
-
-
-def join_1form(v10: ComplexForm, v01: ComplexForm) -> RealForm:
-    """Reassemble a real 1-form from conjugate (1,0)/(0,1) parts."""
-    if tuple(v10.bidegree) != (1, 0) or tuple(v01.bidegree) != (0, 1):
-        raise ValidationError("expected a (1,0) and a (0,1) form")
-    return _to_real(v10, v01)
 
 
 @dataclass(frozen=True)

@@ -283,7 +283,7 @@ def _verify_run(cfg: RunConfig) -> dict:
                                res.deviation <= 0.02 * max(res.lhs, res.rhs),
                                f"dev {res.deviation:.3e} of {max(res.lhs, res.rhs):.3e}"))
             if suite in ("all", "basic"):
-                margin, ref = verify.check_basic_estimate(alpha, weight, domain, grid, quad)
+                margin, ref = verify.check_basic_estimate(alpha, weight, domain, grid)
                 results["basic_estimate"] = {"margin": margin, "reference": ref}
                 checks.append(("basic_estimate", margin >= -0.02 * ref,
                                f"margin {margin:.3e} vs -2% of {ref:.3e}"))

@@ -203,15 +203,6 @@ class Grid:
     def cell_volume(self) -> float:
         return self.h ** self.dim
 
-    @property
-    def interior_count(self) -> int:
-        return int(self.interior.sum())
-
-    @property
-    def boundary_adjacent(self) -> np.ndarray:
-        """Interior nodes with at least one axis neighbor outside G."""
-        return self.interior & _dilate(~self.interior)
-
     def _own(self, mask: np.ndarray) -> str | None:
         """The name of the grid's own mask that mask is, if any."""
         for name in ("interior", "mask_eq", "mask_dof"):

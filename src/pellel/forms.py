@@ -300,7 +300,10 @@ def from_csv(grid: Grid, degree_or_bidegree, path):
     ValidationError unless the node and coeff columns are exactly the
     layout to_csv writes for this grid and form type."""
     with open(path, newline="") as fh:
-        complex_form = "value_im" in next(csv.reader(fh))
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise ValidationError(f"{path}: form table without a header line")
+    complex_form = "value_im" in header
     if complex_form != isinstance(degree_or_bidegree, (tuple, list)):
         raise ValidationError(
             f"{path}: a {'complex' if complex_form else 'real'} form table needs a "

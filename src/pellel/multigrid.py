@@ -31,13 +31,15 @@ definite, whatever the coarse scale: a valid preconditioner for
 conjugate gradients.
 
 A complex residual is two real ones, its real and imaginary parts.  A
-hierarchy built for two parts holds two copies of every level side by
-side, so one cycle serves both parts and each numpy call of a level
-covers the two; the result equals one cycle per part.  That saves the
-overhead of half the calls, which is most of a cycle's cost on a small
-grid and little of it on a large one, so a hierarchy whose finest level
-has more than JOINT_NODES nodes per colour keeps one copy and runs the
-parts in turn, and its memory stays that of a real one.
+hierarchy built for two parts stacks a second run of the 2^N classes on
+the leading axis, shape (2 * 2^N, m_1, ..., m_N): the classes of the two
+copies are as independent as the classes of one, so one cycle serves
+both parts and each numpy call of a level covers the two; the result
+equals one cycle per part.  That saves the overhead of half the calls,
+which is most of a cycle's cost on a small grid and little of it on a
+large one, so a hierarchy whose finest level has more than JOINT_NODES
+nodes per colour keeps one copy and runs the parts in turn, and its
+memory stays that of a real one.
 """
 
 from __future__ import annotations
@@ -55,18 +57,16 @@ SLAB_NODES = 8192  # and each slab spans at least this many box nodes
 
 
 class _Views:
-    """The views through which a cycle over n parts works on one level:
-    one colour of each array spans the n copies, so each numpy call
-    serves all parts.  A neighbour view that runs from one copy into the
-    next pairs with edges that are 0 there, as at the margins, since an
-    edge joins two nodes of the level."""
+    """The views through which a cycle works on one level: one colour of
+    each array spans all classes of all copies, so each numpy call serves
+    every copy.  A neighbour view that runs from one class into the next
+    pairs with edges that are 0 there, as at the margins, since an edge
+    joins two nodes of one class."""
 
-    def __init__(self, lev: "_Level", n: int, t_buf, w_buf):
-        size = n * lev.half
-
+    def __init__(self, lev: "_Level"):
         def view(buf, parity, offset=0):
             start = lev.base[parity] + offset
-            return buf[start:start + size]
+            return buf[start:start + lev.half]
 
         # per colour: x, b, diag, and (edge, neighbour) views, up then down
         # each axis; the neighbours of flat index f at f +- s have the
@@ -80,53 +80,50 @@ class _Views:
                 pairs.append((view(e_buf, 1 - parity, -down), view(lev.x_buf, 1 - parity, -down)))
             self.colours.append((view(lev.x_buf, parity), view(lev.b_buf, parity),
                                  view(lev.d_buf, parity), pairs))
-        self.t = t_buf[:size]
-        self.w = w_buf[:size]
+        self.t = lev.t_buf[:lev.half]
+        self.w = lev.w_buf[:lev.half]
         # the children of the next level's nodes, the red children's
         # residuals in t, and the next level's nodes: their buffer
-        # positions and a work array in w.  One part drops the parts axis.
-        parts = 0 if n == 1 else slice(None)
-        self.x_children = [lev.child(lev.x_buf, o, n)[parts] for o in lev.offsets]
-        self.red_children = [lev.child(t_buf, o, n, red_only=True)[parts]
+        # positions and a work array in w
+        self.x_children = [lev.child(lev.x_buf, o) for o in lev.offsets]
+        self.red_children = [lev.child(lev.t_buf, o, red_only=True)
                              for o in lev.offsets if sum(o) % 2 == 0]
-        self.coarse_index = lev.coarse_index[:n][parts]
-        c_shape = lev.coarse_index.shape[1:]
-        self.coarse = self.w[:n * math.prod(c_shape)].reshape((n,) + c_shape)[parts]
+        self.coarse_index = lev.coarse_index
+        self.coarse = self.w[:lev.coarse_index.size].reshape(lev.coarse_index.shape)
 
 
 class _Level:
     """One level of the hierarchy.
 
-    Its arrays have the logical shape (2^N, m_1, ..., m_N), m_a even.
+    Its arrays have the logical shape (C, m_1, ..., m_N), m_a even, where
+    the leading axis holds the 2^N classes of each copy, copy after copy.
     Their flat layout has one more node on every spatial axis but the
     first, which makes the strides of the spatial axes odd: a node's flat
     index f is then even exactly when its red-black colour (the parity of
-    k_1 + ... + k_N) is red.  Each array is stored split by colour, with
-    a copy per part side by side: red node f of copy p at base[0] +
-    p * half + f // 2 and black node f at base[1] + p * half + f // 2 of
-    one buffer, each colour in a zero margin wider than the largest
-    stride.  One colour, its neighbours along any axis, and the children
-    of the next level's nodes are then contiguous views, and a half-sweep
-    touches only the nodes it updates.  Nodes off the mask have diag 1
-    and no edges, so they stay 0.  The work buffers t and w hold one
-    colour of each part, in the order of the red half; they are shared
-    by all levels.  views(n) serves a cycle over n parts.
+    k_1 + ... + k_N) is red.  Each array is stored split by colour: red
+    node f at base[0] + f // 2 and black node f at base[1] + f // 2 of one
+    buffer, each colour in a zero margin wider than the largest stride.
+    One colour, its neighbours along any axis, and the children of the
+    next level's nodes are then contiguous views, and a half-sweep touches
+    only the nodes it updates.  Nodes off the mask have diag 1 and no
+    edges, so they stay 0.  The work buffers t and w hold one colour, in
+    the order of the red half; they are shared by all levels.
     """
 
-    def __init__(self, logical: tuple[int, ...], parts: int, t_buf, w_buf):
+    def __init__(self, logical: tuple[int, ...], t_buf, w_buf):
         shape = logical[:2] + tuple(m + 1 for m in logical[2:])
-        self.logical, self.shape, self.parts = logical, shape, parts
+        self.logical, self.shape = logical, shape
         self.half = half = math.prod(shape) // 2
         self.strides = [math.prod(shape[ax + 1:]) for ax in range(1, len(shape))]
         margin = self.strides[0] + 1
-        self.base = np.array([margin, parts * half + 2 * margin])
+        self.base = np.array([margin, half + 2 * margin])
         self.inside = tuple(slice(0, m) for m in logical)
 
         def stored(fill):
-            buf = np.zeros(2 * parts * half + 3 * margin)
+            buf = np.zeros(2 * half + 3 * margin)
             if fill:
                 for b in self.base:
-                    buf[b:b + parts * half] = fill
+                    buf[b:b + half] = fill
             return buf
 
         self.x_buf, self.b_buf, self.d_buf = stored(0.0), stored(0.0), stored(1.0)
@@ -135,88 +132,71 @@ class _Level:
         self.coarse_inside = (slice(None),) + tuple(slice(0, m // 2) for m in logical[1:])
         self.offsets = list(itertools.product((0, 1), repeat=len(logical) - 1))
         self.t_buf, self.w_buf = t_buf, w_buf
-        self._views = {}
         self.inverse = None
 
-    def views(self, n: int) -> _Views:
-        """The views of a cycle over n parts, made on its first use."""
-        if n not in self._views:
-            self._views[n] = _Views(self, n, self.t_buf, self.w_buf)
-        return self._views[n]
-
-    def child(self, buf, offset, n=1, red_only=False):
-        """The child at this offset of each next-level node K in n copies,
-        as a view of shape (n,) + the shape of K of a stored array, or
-        with red_only of a buffer that holds the red halves alone.  With a
-        colour half shaped (2^N, m_1 / 2, n_2, ..., n_N), that child sits
-        at K + (sum_a o_a strides_a) // 2 in flat order."""
+    def child(self, buf, offset, red_only=False):
+        """The child at this offset of each next-level node K, as a view
+        of the shape of K of a stored array, or with red_only of a buffer
+        that holds the red half alone.  With a colour half shaped
+        (C, m_1 / 2, n_2, ..., n_N), that child sits at
+        K + (sum_a o_a strides_a) // 2 in flat order."""
         shift = sum(o * s for o, s in zip(offset, self.strides))
         start = shift // 2 + (0 if red_only else self.base[shift % 2])
         halved = self.shape[:1] + (self.shape[1] // 2,) + self.shape[2:]
-        part = buf[start:start + n * self.half].reshape((n,) + halved)
-        return part[(slice(None),) + self.coarse_inside]
+        return buf[start:start + self.half].reshape(halved)[self.coarse_inside]
 
     def split(self, flat):
-        """Buffer position in copy 0 of the nodes with these flat indices."""
+        """Buffer position of the nodes with these flat indices."""
         return self.base[flat % 2] + flat // 2
 
     def logical_index(self) -> np.ndarray:
-        """Buffer position of every node in each copy, shape (parts,) +
-        the logical shape."""
-        index = self.split(np.arange(math.prod(self.shape)).reshape(self.shape)[self.inside])
-        return index + self.half * np.arange(self.parts).reshape((-1,) + (1,) * index.ndim)
+        """Buffer position of every node, in the logical shape."""
+        return self.split(np.arange(math.prod(self.shape)).reshape(self.shape)[self.inside])
 
-    def mirror(self) -> None:
-        """Copy copy 0 of the diagonal and the edges into the others."""
-        for buf in [self.d_buf] + self.e_bufs:
-            for b in self.base:
-                run = buf[b:b + self.parts * self.half].reshape(self.parts, self.half)
-                run[1:] = run[0]
-
-    def coarsened(self, active, t_buf, w_buf):
+    def coarsened(self, active):
         """The next level, with the coefficients of COARSE_SCALE * R S P,
-        and its mask: a coarse node is on it when any of its children is."""
+        and its mask: a coarse node is on it when any of its children is.
+        This level's views are made here, once it knows the next one."""
         coarse = tuple(m // 2 for m in self.logical[1:])
-        low = _Level(self.logical[:1] + tuple(m + m % 2 for m in coarse), self.parts,
-                     t_buf, w_buf)
-        self.coarse_index = low.logical_index()[(slice(None),) + self.coarse_inside]
-        c_shape = self.coarse_index.shape[1:]
+        low = _Level(self.logical[:1] + tuple(m + m % 2 for m in coarse), self.t_buf, self.w_buf)
+        self.coarse_index = low.logical_index()[self.coarse_inside]
+        c_shape = self.coarse_index.shape
         c_active = np.zeros(c_shape, dtype=bool)
         c_diag = np.zeros(c_shape)
         c_edges = [np.zeros(c_shape) for _ in self.e_bufs]
         for offset in self.offsets:
             on = active[(slice(None),) + tuple(slice(o, m, 2) for o, m in zip(offset, self.logical[1:]))]
             c_active |= on
-            c_diag += np.where(on, self.child(self.d_buf, offset)[0], 0.0)
+            c_diag += np.where(on, self.child(self.d_buf, offset), 0.0)
             for o, e_buf, c_e in zip(offset, self.e_bufs, c_edges):
                 # a child at an even position along the axis is joined to its
                 # sibling inside the aggregate, one at an odd position to the
                 # next aggregate
                 if o:
-                    c_e += self.child(e_buf, offset)[0]
+                    c_e += self.child(e_buf, offset)
                 else:
-                    c_diag -= 2.0 * self.child(e_buf, offset)[0]
+                    c_diag -= 2.0 * self.child(e_buf, offset)
         scale = COARSE_SCALE / len(self.offsets)
         for e_buf, c_e in zip(low.e_bufs, c_edges):
-            e_buf[self.coarse_index[0]] = scale * c_e
-        low.d_buf[self.coarse_index[0]] = np.where(c_active, scale * c_diag, 1.0)
-        low.mirror()
+            e_buf[self.coarse_index] = scale * c_e
+        low.d_buf[self.coarse_index] = np.where(c_active, scale * c_diag, 1.0)
         low_active = np.zeros(low.logical, dtype=bool)
         low_active[self.coarse_inside] = c_active
+        self.views = _Views(self)
         return low, low_active
 
     def set_inverse(self):
         """Make this the coarsest level: a dense inverse of its operator on
         each class, where the nodes off the mask have identity rows."""
         self.index = self.logical_index()
-        diag = self.d_buf[self.index[0]]
+        diag = self.d_buf[self.index]
         n_class, per_class = diag.shape[0], diag[0].size
         mat = np.zeros((n_class, per_class, per_class))
         node = np.arange(per_class)
         mat[:, node, node] = diag.reshape(n_class, per_class)
         for ax, e_buf in enumerate(self.e_bufs):
             stride = math.prod(diag.shape[ax + 2:])
-            e = e_buf[self.index[0]].reshape(n_class, per_class)[:, :per_class - stride]
+            e = e_buf[self.index].reshape(n_class, per_class)[:, :per_class - stride]
             mat[:, node[:-stride], node[stride:]] = -e
             mat[:, node[stride:], node[:-stride]] = -e
         inv = np.linalg.inv(mat)
@@ -224,9 +204,10 @@ class _Level:
 
 
 def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
-    """Write S into the finest level.  Returns the buffer position in copy
-    0 of each equation node, in C order of the mask, and the level's mask
-    in its logical shape.
+    """Write S into the first copy of the finest level, and repeat it in
+    the others.  Returns the buffer position in the first copy of each
+    equation node, in C order of the mask, and the level's mask in its
+    logical shape.
 
     The nodes are taken in slabs along the first axis (FINEST_SLABS of
     them, fewer on a small box).  Each slab works on a window of the masks
@@ -278,7 +259,12 @@ def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
             up *= eq[nodes + 2 * s]
             edge[slab_at] = up
         top.d_buf[slab_at] = diag
-    top.mirror()
+    # the other copies repeat the first: its coefficients and its mask
+    copies = top.shape[0] >> dim
+    runs = [buf[b:b + top.half] for buf in [top.d_buf] + top.e_bufs for b in top.base]
+    for run in runs + [active]:
+        run = run.reshape(copies, -1)
+        run[1:] = run[0]
     return at, active.reshape(top.shape)[top.inside]
 
 
@@ -293,56 +279,60 @@ class ParityMultigrid:
     applied to it.  With parts=2, and a finest level of at most
     JOINT_NODES nodes per colour, the real and imaginary parts of a
     complex vector share one cycle; otherwise each takes its own.  Either
-    way a finite vector gets the result of one cycle per part.  The
+    way a finite vector gets the result of one cycle per part, and a
+    real one through two copies leaves the second at 0.  The
     buffers are reused, so an object serves one thread at a time.
     """
 
     def __init__(self, eq_mask: np.ndarray, dof_mask: np.ndarray, w_s: np.ndarray,
                  h: float, axis_scale, parts: int = 1):
         dim = eq_mask.ndim
-        logical = (2 ** dim,) + tuple(-(-n // 4) * 2 for n in eq_mask.shape)
-        size = math.prod(logical[:2]) * math.prod(m + 1 for m in logical[2:])
+        per_class = tuple(-(-n // 4) * 2 for n in eq_mask.shape)
+        size = 2 ** dim * per_class[0] * math.prod(m + 1 for m in per_class[1:])
         if size // 2 > JOINT_NODES:
             parts = 1
-        # t holds one colour of each part, plus room for the shifted views
+        self.copies = parts
+        # t holds one colour of every copy, plus room for the shifted views
         # of red children
-        t_buf = np.empty(parts * (size // 2) + size // logical[0] // logical[1])
+        t_buf = np.empty(parts * (size // 2) + size // 2 ** dim // per_class[0])
         w_buf = np.empty(parts * (size // 2))
-        top = _Level(logical, parts, t_buf, w_buf)
+        top = _Level((parts * 2 ** dim,) + per_class, t_buf, w_buf)
         self.pos, active = _set_finest(top, eq_mask, dof_mask, w_s, h, axis_scale)
 
         self.levels = [top]
         while active[0].size > COARSEST_NODES and max(active.shape[1:]) > 2:
-            low, active = self.levels[-1].coarsened(active, t_buf, w_buf)
+            low, active = self.levels[-1].coarsened(active)
             self.levels.append(low)
         self.levels[-1].set_inverse()
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(r):
             out = np.empty(r.shape, dtype=complex)
-            parts, outs = (r.real, r.imag), (out.real, out.imag)
+            parts, outs = [r.real, r.imag], [out.real, out.imag]
         else:
             out = np.empty(r.shape)
-            parts, outs = (r,), (out,)
+            parts, outs = [r], [out]
+        # each copy takes one part; a copy without a part cycles on 0
+        parts += [0.0] * (-len(parts) % self.copies)
         top = self.levels[0]
-        for first in range(0, len(parts), top.parts):
-            n = min(top.parts, len(parts) - first)
-            for p in range(n):
-                top.b_buf[p * top.half:][self.pos] = parts[first + p]
-            self._cycle(0, n)
-            for p in range(n):
-                np.take(top.x_buf[p * top.half:], self.pos, out=outs[first + p], mode="clip")
+        step = top.half // self.copies
+        for first in range(0, len(parts), self.copies):
+            for p in range(self.copies):
+                top.b_buf[p * step:][self.pos] = parts[first + p]
+            self._cycle(0)
+            for p, part_out in enumerate(outs[first:first + self.copies]):
+                np.take(top.x_buf[p * step:], self.pos, out=part_out, mode="clip")
         return out
 
-    def _cycle(self, depth: int, n: int) -> None:
+    def _cycle(self, depth: int) -> None:
         lev = self.levels[depth]
         if lev.inverse is not None:
-            b = lev.b_buf[lev.index[:n]]
-            x = np.matmul(lev.inverse, b.reshape(b.shape[:2] + (-1, 1)))
-            lev.x_buf[lev.index[:n]] = x.reshape(b.shape)
+            b = lev.b_buf[lev.index]
+            x = np.matmul(lev.inverse, b.reshape(b.shape[:1] + (-1, 1)))
+            lev.x_buf[lev.index] = x.reshape(b.shape)
             return
         low = self.levels[depth + 1]
-        views = lev.views(n)
+        views = lev.views
         red, black = views.colours
         x_red, b_red, d_red, _ = red
         np.divide(b_red, d_red, out=x_red)  # red half-sweep from x = 0
@@ -358,7 +348,7 @@ class ParityMultigrid:
             coarse += child
         coarse *= 1.0 / len(views.x_children)
         low.b_buf[views.coarse_index] = coarse
-        self._cycle(depth + 1, n)
+        self._cycle(depth + 1)
         # prolong: each child takes its coarse node's value
         np.take(low.x_buf, views.coarse_index, out=coarse, mode="clip")
         for child in views.x_children:

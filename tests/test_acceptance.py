@@ -150,7 +150,7 @@ def test_basic_estimate_margin():
     for g in (V.Poly.constant(2, 1.0), V.Poly.variable(2, 1),
               V.Poly.variable(2, 2)):
         alpha = V.tangential_1form(dom, g)
-        margin, ref = V.check_basic_estimate(alpha, w, dom, grid, quad)
+        margin, ref = V.check_basic_estimate(alpha, w, dom, grid)
         worst_rel = min(worst_rel, margin / ref)
         assert margin >= -0.02 * ref
     _report("coercivity estimate margin",

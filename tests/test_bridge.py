@@ -94,8 +94,8 @@ def test_split_conjugate_and_reassembly(disk_grid_coarse, rng):
     v = pl.RealForm(g, 1, rng.standard_normal((2,) + g.shape))
     v10, v01 = bridge.split_1form(v)
     assert np.abs(np.conj(v10.coeffs) - v01.coeffs).max() == 0.0
-    back = bridge.join_1form(v10, v01)
-    assert np.abs(back.coeffs - v.coeffs).max() == 0.0
+    back = bridge._to_real(v10).coeffs + bridge._to_real(v01).coeffs
+    assert np.abs(back - v.coeffs).max() == 0.0
 
 
 def test_norm_convention_factor_four(rng):

@@ -134,6 +134,15 @@ def test_form_table_from_another_grid(tmp_path, capsys, h, code):
     assert ("configuration error" in capsys.readouterr().err) == (code == 2)
 
 
+def test_empty_form_table_exits_2(tmp_path, capsys):
+    # an empty file once escaped main as a StopIteration from the header read
+    (tmp_path / "empty.csv").write_text("")
+    cfg = write_cfg(tmp_path, form={"table": str(tmp_path / "empty.csv"), "degree": 2},
+                    out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_unknown_config_field_rejected(tmp_path):
     cfg = write_cfg(tmp_path, mode="pipeline", nonsense=1)
     assert cli.main(["run", "--config", cfg]) == 2

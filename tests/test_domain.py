@@ -15,7 +15,7 @@ def test_build_grid_small_disk_four_nodes():
     dom = pl.Domain.ball(0.5)
     grid = pl.build_grid(dom, 0.5)
     pts = grid.coords[:, grid.interior].T
-    assert grid.interior_count == 4
+    assert grid.interior.sum() == 4
     expected = {(0.25, 0.25), (0.25, -0.25), (-0.25, 0.25), (-0.25, -0.25)}
     assert {tuple(np.round(p, 12)) for p in pts} == expected
 
@@ -38,13 +38,13 @@ def test_build_grid_matches_brute_force_count():
     xs = (ks + 0.5) * h
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     brute = int(np.sum(X**2 / 1.0 + Y**2 / 4.0 < 1.0))
-    assert grid.interior_count == brute
+    assert grid.interior.sum() == brute
 
 
 def test_margin_shrinks_interior():
     dom = pl.Domain.ball(1.0)
-    full = pl.build_grid(dom, 1 / 16).interior_count
-    shrunk = pl.build_grid(dom, 1 / 16, margin=0.5).interior_count
+    full = pl.build_grid(dom, 1 / 16).interior.sum()
+    shrunk = pl.build_grid(dom, 1 / 16, margin=0.5).interior.sum()
     assert 0 < shrunk < full
 
 
@@ -53,7 +53,7 @@ def test_interior_count_approaches_volume():
     errs = []
     for h in (1 / 16, 1 / 32, 1 / 64):
         g = pl.build_grid(dom, h)
-        errs.append(abs(g.interior_count * h**2 - np.pi))
+        errs.append(abs(g.interior.sum() * h**2 - np.pi))
     assert errs[-1] < 0.02
     assert errs[-1] < errs[0]
 
@@ -62,8 +62,6 @@ def test_grid_masks_nest():
     grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 16)
     assert np.all(grid.mask_eq[grid.interior])
     assert np.all(grid.mask_dof[grid.mask_eq])
-    assert grid.boundary_adjacent.sum() > 0
-    assert np.all(grid.interior[grid.boundary_adjacent])
 
 
 def test_estimate_c_quadratic(disk_grid_coarse):
@@ -205,16 +203,6 @@ def test_domain_regularity_check():
     pl.Domain.ellipsoid((0.5, 2.0, 1.0)).validate_regularity()
 
 
-def test_boundary_adjacent_matches_neighbor_scan():
-    grid = pl.build_grid(pl.Domain.ellipsoid((1.0, 0.7, 0.5)), 1 / 8)
-    outside_neighbor = np.zeros_like(grid.interior)
-    for ax in range(grid.dim):
-        for step in (-1, 1):
-            # the padding keeps interior nodes off the box faces, so no wrap
-            outside_neighbor |= ~np.roll(grid.interior, step, axis=ax)
-    assert np.array_equal(grid.boundary_adjacent, grid.interior & outside_neighbor)
-
-
 @pytest.mark.parametrize("dim, h", [(2, 1 / 8), (4, 1 / 3)], ids=["2d", "4d"])
 @pytest.mark.parametrize("ncoeff, dtype", [(2, float), (3, complex), (0, float), (0, complex)],
                          ids=["real", "complex", "real_empty", "complex_empty"])
@@ -273,7 +261,7 @@ def test_mask_nodes_searched_once_per_sharing_block(monkeypatch, rng):
                     use(mask)
             assert len(searched) == 3
             # any other mask is searched on every call
-            other = grid.boundary_adjacent
+            other = grid.mask_dof & ~grid.mask_eq
             assert np.array_equal(grid.compact(a, other), a[:, other])
             assert np.array_equal(grid.compact(a, other.copy()), a[:, other])
             assert len(searched) == 5

@@ -268,6 +268,9 @@ def test_csv_from_another_grid_or_form_type_raises(tmp_path, disk, rng):
     path.write_text("node,coeff,value\n0,0,x\n")
     with pytest.raises(ValidationError, match="unreadable"):
         forms.from_csv(g8, 1, path)
+    path.write_text("")
+    with pytest.raises(ValidationError, match="without a header"):
+        forms.from_csv(g8, 1, path)
     with pytest.raises(ValidationError, match="needs a bidegree"):  # complex table, degree
         forms.to_csv(pl.ComplexForm.zeros(g8, (0, 1)), path)
         forms.from_csv(g8, 1, path)

@@ -306,10 +306,11 @@ def test_complex_preconditioner_call_equals_two_real_calls(monkeypatch, rng, pad
     cycles = []
     cycle = ParityMultigrid._cycle
 
-    def counted(self, depth, n):
+    def counted(self, depth):
         if depth == 0:
-            cycles.append(n)
-        cycle(self, depth, n)
+            # the copies on the class axis of the finest level, 4 classes each
+            cycles.append(self.levels[0].logical[0] // 4)
+        cycle(self, depth)
 
     monkeypatch.setattr(ParityMultigrid, "_cycle", counted)
     r = rng.standard_normal(A.target_shape) + 1j * rng.standard_normal(A.target_shape)
@@ -317,6 +318,23 @@ def test_complex_preconditioner_call_equals_two_real_calls(monkeypatch, rng, pad
     assert cycles == ([2] if joint else [1, 1])
     parts = A.preconditioner(r.real) + 1j * A.preconditioner(r.imag)
     assert np.abs(z - parts).max() <= 1e-14 * np.abs(parts).max()
+
+
+@pytest.mark.parametrize("pad", [2, 0], ids=["disk", "faces"])
+def test_two_copy_cycle_equals_one_copy_cycles_exactly(rng, pad):
+    # the two copies on the class axis never meet: a complex residual
+    # through a two-copy hierarchy is bit for bit its two parts through
+    # one-copy cycles, and a real residual gives the same bits through either
+    grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 32, pad=pad)
+    w_s = np.exp(-grid.phi_values(pl.Weight.abs2(2), grid.mask_dof))
+    one, two = (ParityMultigrid(grid.mask_eq, grid.mask_dof, w_s, grid.h, (0.25, 0.25), parts)
+                for parts in (1, 2))
+    assert (one.levels[0].logical[0], two.levels[0].logical[0]) == (4, 8)
+    n = np.count_nonzero(grid.mask_eq)
+    r = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z = two(r)
+    assert np.array_equal(z.real, one(r.real)) and np.array_equal(z.imag, one(r.imag))
+    assert np.array_equal(two(r.real), one(r.real))
 
 
 def test_cgls_keeps_maps_with_several_equation_components(disk_grid_coarse, gauss2, rng):
