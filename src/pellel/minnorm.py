@@ -154,8 +154,8 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
     A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  Its hierarchy is
     built on the first call, so maps that are never solved do not pay
-    for it; a complex map's hierarchy holds two parts side by side, so
-    the real and imaginary parts of a residual share one cycle.
+    for it; a complex map's hierarchy holds a copy per part on its class
+    axis, so the real and imaginary parts of a residual share one cycle.
     """
     phi_s = grid.phi_values(weight, dof_mask)
     shift = float(phi_s.min()) if phi_s.size else 0.0
