@@ -42,8 +42,9 @@ VERIFY_SUITES = ("all", "dalpha", "boundary", "bochner", "basic")
 
 
 def _is_number(value, kinds=(int, float)) -> bool:
-    """isinstance test that does not take a JSON true/false for a number."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+    """isinstance test that takes no JSON true/false, NaN or Infinity for a number."""
+    return (isinstance(value, kinds) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
 def _is_count(value) -> bool:
@@ -125,6 +126,8 @@ class RunConfig:
     def from_file(path: str) -> "RunConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValidationError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in dataclasses.fields(RunConfig)}
         bad = set(data) - known
         if bad:
@@ -156,6 +159,8 @@ class RunConfig:
             raise ValidationError("h must be positive")
         if self.h_values is not None and any(h <= 0 for h in self.h_values):
             raise ValidationError("h_values must be positive")
+        if self.tol <= 0:
+            raise ValidationError("tol must be positive")
         if self.slack < 0:
             raise ValidationError("slack must be nonnegative")
         if self.mode == "converge" and self.converge_mode not in ("pipeline", "poincare", "dbar"):

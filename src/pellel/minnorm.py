@@ -154,8 +154,8 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
     A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  Its hierarchy is
     built on the first call, so maps that are never solved do not pay
-    for it; a complex map's hierarchy holds a copy per part on its class
-    axis, so the real and imaginary parts of a residual share one cycle.
+    for it; a complex map runs the real and imaginary parts of a residual
+    through it in turn.
     """
     phi_s = grid.phi_values(weight, dof_mask)
     shift = float(phi_s.min()) if phi_s.size else 0.0
@@ -209,9 +209,7 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         def preconditioner(r):
             nonlocal multigrid
             if multigrid is None:
-                # a complex map's residuals run their two parts through one cycle
-                parts = 2 if np.dtype(dtype).kind == "c" else 1
-                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale, parts)
+                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale)
             out = multigrid(r[0])
             out /= w_t
             return out[None]
@@ -264,7 +262,7 @@ def solve_min_norm(A: LinearMap, f: np.ndarray, tol: float = 1e-8,
     to the range and no progress is possible.
     """
     start = time.perf_counter()
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
     if maxiter is None:
         maxiter = 10 * math.prod(A.source_shape)

@@ -30,16 +30,8 @@ level exactly.  As an operator it is therefore symmetric and positive
 definite, whatever the coarse scale: a valid preconditioner for
 conjugate gradients.
 
-A complex residual is two real ones, its real and imaginary parts.  A
-hierarchy built for two parts stacks a second run of the 2^N classes on
-the leading axis, shape (2 * 2^N, m_1, ..., m_N): the classes of the two
-copies are as independent as the classes of one, so one cycle serves
-both parts and each numpy call of a level covers the two; the result
-equals one cycle per part.  That saves the overhead of half the calls,
-which is most of a cycle's cost on a small grid and little of it on a
-large one, so a hierarchy whose finest level has more than JOINT_NODES
-nodes per colour keeps one copy and runs the parts in turn, and its
-memory stays that of a real one.
+A complex residual is two real ones, its real and imaginary parts, and
+they run through the one real hierarchy in turn, a cycle each.
 """
 
 from __future__ import annotations
@@ -51,17 +43,16 @@ import numpy as np
 
 COARSEST_NODES = 64  # a level with at most this many nodes per class is solved exactly
 COARSE_SCALE = 0.5  # coarse operator = COARSE_SCALE * R S P
-JOINT_NODES = 16384  # finest nodes per colour up to which the parts share a cycle
 FINEST_SLABS = 8  # the finest level is written in up to this many slabs along the first axis
 SLAB_NODES = 8192  # and each slab spans at least this many box nodes
 
 
 class _Views:
-    """The views through which a cycle works on one level: one colour of
-    each array spans all classes of all copies, so each numpy call serves
-    every copy.  A neighbour view that runs from one class into the next
-    pairs with edges that are 0 there, as at the margins, since an edge
-    joins two nodes of one class."""
+    """The views through which a cycle works on one level: one colour of each
+    array spans all classes, so each numpy call serves every class.  A
+    neighbour view that runs from one class into the next pairs with edges
+    that are 0 there, as at the margins, since an edge joins two nodes of one
+    class."""
 
     def __init__(self, lev: "_Level"):
         def view(buf, parity, offset=0):
@@ -95,19 +86,18 @@ class _Views:
 class _Level:
     """One level of the hierarchy.
 
-    Its arrays have the logical shape (C, m_1, ..., m_N), m_a even, where
-    the leading axis holds the 2^N classes of each copy, copy after copy.
-    Their flat layout has one more node on every spatial axis but the
-    first, which makes the strides of the spatial axes odd: a node's flat
-    index f is then even exactly when its red-black colour (the parity of
-    k_1 + ... + k_N) is red.  Each array is stored split by colour: red
-    node f at base[0] + f // 2 and black node f at base[1] + f // 2 of one
-    buffer, each colour in a zero margin wider than the largest stride.
-    One colour, its neighbours along any axis, and the children of the
-    next level's nodes are then contiguous views, and a half-sweep touches
-    only the nodes it updates.  Nodes off the mask have diag 1 and no
-    edges, so they stay 0.  The work buffers t and w hold one colour, in
-    the order of the red half; they are shared by all levels.
+    Its arrays have the logical shape (2^N, m_1, ..., m_N), m_a even, where
+    the leading axis holds the classes.  Their flat layout has one more node
+    on every spatial axis but the first, which makes the strides of the
+    spatial axes odd: a node's flat index f is then even exactly when its
+    red-black colour (the parity of k_1 + ... + k_N) is red.  Each array is
+    stored split by colour: red node f at base[0] + f // 2 and black node f at
+    base[1] + f // 2 of one buffer, each colour in a zero margin wider than
+    the largest stride.  One colour, its neighbours along any axis, and the
+    children of the next level's nodes are then contiguous views, and a
+    half-sweep touches only the nodes it updates.  Nodes off the mask have
+    diag 1 and no edges, so they stay 0.  The work buffers t and w hold one
+    colour, in the order of the red half; they are shared by all levels.
     """
 
     def __init__(self, logical: tuple[int, ...], t_buf, w_buf):
@@ -138,7 +128,7 @@ class _Level:
         """The child at this offset of each next-level node K, as a view
         of the shape of K of a stored array, or with red_only of a buffer
         that holds the red half alone.  With a colour half shaped
-        (C, m_1 / 2, n_2, ..., n_N), that child sits at
+        (2^N, m_1 / 2, n_2, ..., n_N), that child sits at
         K + (sum_a o_a strides_a) // 2 in flat order."""
         shift = sum(o * s for o, s in zip(offset, self.strides))
         start = shift // 2 + (0 if red_only else self.base[shift % 2])
@@ -204,8 +194,7 @@ class _Level:
 
 
 def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
-    """Write S into the first copy of the finest level, and repeat it in
-    the others.  Returns the buffer position in the first copy of each
+    """Write S into the finest level.  Returns the buffer position of each
     equation node, in C order of the mask, and the level's mask in its
     logical shape.
 
@@ -259,12 +248,6 @@ def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
             up *= eq[nodes + 2 * s]
             edge[slab_at] = up
         top.d_buf[slab_at] = diag
-    # the other copies repeat the first: its coefficients and its mask
-    copies = top.shape[0] >> dim
-    runs = [buf[b:b + top.half] for buf in [top.d_buf] + top.e_bufs for b in top.base]
-    for run in runs + [active]:
-        run = run.reshape(copies, -1)
-        run[1:] = run[0]
     return at, active.reshape(top.shape)[top.inside]
 
 
@@ -276,27 +259,20 @@ class ParityMultigrid:
     one-node dilation of eq_mask; w_s holds the source weights at the
     dof_mask nodes in C order, and axis_scale[a] is c_a.  Calling the
     object on a real or complex vector over eq_mask returns the cycle
-    applied to it.  With parts=2, and a finest level of at most
-    JOINT_NODES nodes per colour, the real and imaginary parts of a
-    complex vector share one cycle; otherwise each takes its own.  Either
-    way a finite vector gets the result of one cycle per part, and a
-    real one through two copies leaves the second at 0.  The
-    buffers are reused, so an object serves one thread at a time.
+    applied to it, to the real and imaginary parts of a complex one in
+    turn.  The buffers are reused, so an object serves one thread at a
+    time.
     """
 
     def __init__(self, eq_mask: np.ndarray, dof_mask: np.ndarray, w_s: np.ndarray,
-                 h: float, axis_scale, parts: int = 1):
+                 h: float, axis_scale):
         dim = eq_mask.ndim
         per_class = tuple(-(-n // 4) * 2 for n in eq_mask.shape)
         size = 2 ** dim * per_class[0] * math.prod(m + 1 for m in per_class[1:])
-        if size // 2 > JOINT_NODES:
-            parts = 1
-        self.copies = parts
-        # t holds one colour of every copy, plus room for the shifted views
-        # of red children
-        t_buf = np.empty(parts * (size // 2) + size // 2 ** dim // per_class[0])
-        w_buf = np.empty(parts * (size // 2))
-        top = _Level((parts * 2 ** dim,) + per_class, t_buf, w_buf)
+        # t holds one colour, plus room for the shifted views of red children
+        t_buf = np.empty(size // 2 + size // 2 ** dim // per_class[0])
+        w_buf = np.empty(size // 2)
+        top = _Level((2 ** dim,) + per_class, t_buf, w_buf)
         self.pos, active = _set_finest(top, eq_mask, dof_mask, w_s, h, axis_scale)
 
         self.levels = [top]
@@ -308,20 +284,15 @@ class ParityMultigrid:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         if np.iscomplexobj(r):
             out = np.empty(r.shape, dtype=complex)
-            parts, outs = [r.real, r.imag], [out.real, out.imag]
+            parts = [(r.real, out.real), (r.imag, out.imag)]
         else:
             out = np.empty(r.shape)
-            parts, outs = [r], [out]
-        # each copy takes one part; a copy without a part cycles on 0
-        parts += [0.0] * (-len(parts) % self.copies)
+            parts = [(r, out)]
         top = self.levels[0]
-        step = top.half // self.copies
-        for first in range(0, len(parts), self.copies):
-            for p in range(self.copies):
-                top.b_buf[p * step:][self.pos] = parts[first + p]
+        for part, part_out in parts:
+            top.b_buf[self.pos] = part
             self._cycle(0)
-            for p, part_out in enumerate(outs[first:first + self.copies]):
-                np.take(top.x_buf[p * step:], self.pos, out=part_out, mode="clip")
+            np.take(top.x_buf, self.pos, out=part_out, mode="clip")
         return out
 
     def _cycle(self, depth: int) -> None:

@@ -78,6 +78,8 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
     {"margin": 5.0},
     {"mode": "verify", "verify_suite": "bochner", "domain": FAR_DISK},
     {"mode": "verify", "verify_suite": "basic", "domain": FAR_DISK},
+    {"h": float("nan")}, {"h_values": [float("nan")]}, {"slack": float("nan")},
+    {"tol": float("nan")},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -88,7 +90,7 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "quadratic_ragged", "quadratic_wrong_dim", "form_string", "form_table_number",
         "pipeline_real_form", "poincare_complex_form", "boundary_suite_dim4",
         "h_no_interior", "margin_no_interior", "bochner_weight_underflows",
-        "basic_weight_underflows"])
+        "basic_weight_underflows", "h_nan", "h_values_nan", "slack_nan", "tol_nan"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
@@ -120,6 +122,21 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, mode="verify", verify_suite="dalpha", out=str(tmp_path / "out"))
     assert cli.main(["run", "--config", cfg, "--seed", "-1"]) == 2
     assert "configuration error: seed" in capsys.readouterr().err
+
+
+def test_nan_h_flag_exits_2(tmp_path, capsys):
+    # it once escaped main as a ValueError from build_grid
+    cfg = write_cfg(tmp_path, mode="pipeline", out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg, "--h", "nan"]) == 2
+    assert "configuration error: h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"x"'], ids=["list", "null", "string"])
+def test_config_not_an_object_exits_2(tmp_path, capsys, text):
+    (tmp_path / "cfg.json").write_text(text)
+    # a string was once read as a list of unknown field names
+    assert cli.main(["run", "--config", str(tmp_path / "cfg.json")]) == 2
+    assert "configuration error: config must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h, code", [(1 / 8, 0), (1 / 16, 2), (1 / 4, 2)],
