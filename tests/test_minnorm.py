@@ -300,10 +300,11 @@ def test_preconditioner_symmetric_positive(case, rng):
 
 
 @pytest.mark.parametrize("pad", [2, 0], ids=["disk", "faces"])
-def test_complex_preconditioner_call_equals_two_real_calls(monkeypatch, rng, pad):
-    # a complex residual's two parts take one V-cycle each, in turn, through
-    # the one real hierarchy, also where the equation mask meets the box
-    # faces (pad 0)
+@pytest.mark.parametrize("order", ["in_turn"])
+def test_complex_preconditioner_call_equals_two_real_calls(monkeypatch, rng, pad, order):
+    # a complex residual's two parts take one V-cycle each, in turn (the one
+    # order a hierarchy runs them in), through the one real hierarchy, also
+    # where the equation mask meets the box faces (pad 0)
     grid = pl.build_grid(pl.Domain.ball(1.0), 1 / 32, pad=pad)
     A = weighted_first_order_map(grid, pl.Weight.abs2(2), calc.complex_terms(1, (0, 0), True),
                                  1, 1, grid.mask_eq, grid.mask_dof, dtype=complex)
