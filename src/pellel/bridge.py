@@ -22,6 +22,8 @@ from .domain import Weight
 from .errors import ValidationError
 from .forms import ComplexForm, RealForm, n_complex_coeffs, real_expansion, wirtinger_frame
 
+REAL_TOL = 1e-10  # realness gate: |f - conj f| <= REAL_TOL * |f|, maxima over the grid
+
 
 def _to_real(f: ComplexForm) -> RealForm:
     """Real part of the expansion of f."""
@@ -59,27 +61,26 @@ def _asymmetry(f: ComplexForm) -> tuple[float, float]:
     return float(np.max(asym)), max(float(np.max(scale)), 1e-300)
 
 
-def real11_to_real2(f: ComplexForm, require_real: bool = True,
-                    tol: float = 1e-10) -> RealForm:
+def real11_to_real2(f: ComplexForm, require_real: bool = True) -> RealForm:
     """Convert a real (1,1) form to the corresponding real 2-form.
 
-    require_real checks f = conj(f) and raises with the largest asymmetry
-    otherwise; without it a non-real f gives the 2-form of its real part
-    (f + conj f) / 2.
+    require_real checks f = conj(f) to REAL_TOL and raises with the
+    largest asymmetry otherwise; without it a non-real f gives the 2-form
+    of its real part (f + conj f) / 2.
     """
     if tuple(f.bidegree) != (1, 1):
         raise ValidationError("input must be a (1,1) form")
     if require_real:
         asym, scale = _asymmetry(f)
-        if asym > tol * scale:
-            raise ValidationError(
-                f"(1,1) form is not real: max asymmetry {asym:.3e} exceeds {tol:.1e} * {scale:.3e}")
+        if asym > REAL_TOL * scale:
+            raise ValidationError(f"(1,1) form is not real: max asymmetry {asym:.3e} "
+                                  f"exceeds {REAL_TOL:.1e} * {scale:.3e}")
     return _to_real(f)
 
 
-def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
+def real2_to_real11(g: RealForm) -> ComplexForm:
     """Inverse conversion; validates that g lies in the image of the real
-    (1,1) forms (its (2,0) and (0,2) parts vanish)."""
+    (1,1) forms (its (2,0) and (0,2) parts vanish to REAL_TOL)."""
     if g.degree != 2:
         raise ValidationError("input must be a real 2-form")
     if g.grid.dim % 2:
@@ -87,7 +88,7 @@ def real2_to_real11(g: RealForm, tol: float = 1e-10) -> ComplexForm:
     f = ComplexForm(g.grid, (1, 1), _from_real(g.coeffs, g.grid.dim // 2, (1, 1)))
     scale = max(float(np.abs(g.coeffs).max()), 1e-300)
     worst = float(np.abs(_to_real(f).coeffs - g.coeffs).max())
-    if worst > tol * scale:
+    if worst > REAL_TOL * scale:
         raise ValidationError(
             f"2-form outside the image of real (1,1) forms: mismatch {worst:.3e}")
     return f

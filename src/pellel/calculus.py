@@ -30,7 +30,7 @@ from .domain import Grid, Weight, _dilate
 from .errors import ValidationError
 from .forms import (_BIDEGREES, ComplexForm, RealForm, complex_layout, n_complex_coeffs,
                     wirtinger_frame)
-from .multiindex import increasing_indices, index_positions, num_indices, prepend
+from .multiindex import increasing_indices, index_positions, num_indices, sort_signature
 
 
 def _sl(ndim, ax, s):
@@ -76,14 +76,15 @@ def diff_axis_t(a: np.ndarray, ax: int, h: float) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def d_terms(n: int, p: int) -> tuple[tuple[int, int, float, int], ...]:
-    """Terms of d on degree-p forms over R^n via prepend signs."""
+    """Terms of d on degree-p forms over R^n: dx_j ^ dx_I = s dx_J for
+    (J, s) = sort_signature((j,) + I), the one table of these signs."""
     if p >= n:
         return ()
     pos_out = index_positions(n, p + 1)
     terms = []
     for s, idx in enumerate(increasing_indices(n, p)):
         for j in range(1, n + 1):
-            signed = prepend(j, idx, n)
+            signed = sort_signature((j,) + idx, n)
             if signed.sign:
                 terms.append((pos_out[signed.index], s, float(signed.sign), j - 1))
     return tuple(terms)
@@ -114,7 +115,7 @@ def complex_terms(n: int, bidegree: tuple[int, int], bar: bool):
     terms = []
     for s, (I, J) in enumerate(complex_layout(n, bidegree)):
         for k in range(1, n + 1):
-            signed = prepend(k, J if bar else I, n)
+            signed = sort_signature((k,) + (J if bar else I), n)
             if not signed.sign:
                 continue
             o = out_pos[(I, signed.index) if bar else (signed.index, J)]

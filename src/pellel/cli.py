@@ -148,6 +148,8 @@ class RunConfig:
         if self.h_values is not None and not _is_numbers(self.h_values):
             raise ValidationError(
                 f"h_values must be a nonempty list of numbers, got {self.h_values!r}")
+        if not isinstance(self.out, str):
+            raise ValidationError(f"out must be a string, got {self.out!r}")
         if not isinstance(self.dump_forms, bool):
             raise ValidationError(f"dump_forms must be true or false, got {self.dump_forms!r}")
         if self.verify_suite not in VERIFY_SUITES:

@@ -14,6 +14,7 @@ Hessians.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
@@ -21,6 +22,16 @@ from typing import Callable
 import numpy as np
 
 from .errors import ResolutionError, UnsupportedDomainError, ValidationError
+
+
+def _semi_axes(values) -> tuple[float, ...]:
+    """The semi-axes as floats; rho and its derivatives divide by their
+    squares, which must be positive finite floats."""
+    axes = tuple(float(a) for a in values)
+    if not all(a > 0 and 0 < a * a < math.inf for a in axes):
+        raise ValidationError(
+            f"semi-axes {axes} must be positive, with squares that are positive finite floats")
+    return axes
 
 
 @dataclass(frozen=True)
@@ -36,20 +47,17 @@ class Domain:
     def ball(radius: float, center=None, dim: int | None = None) -> "Domain":
         """Ball of the given radius; dim defaults to len(center), or to 2
         without a center, and must match the center when both are given."""
-        if radius <= 0:
-            raise ValidationError("radius must be positive")
+        (a,) = _semi_axes((radius,))
         if center is None:
             center = (0.0,) * (2 if dim is None else dim)
         center = tuple(float(c) for c in center)
         if dim is not None and len(center) != dim:
             raise ValidationError(f"ball center {center} does not have dim = {dim} coordinates")
-        return Domain("ball", len(center), (float(radius),) * len(center), center)
+        return Domain("ball", len(center), (a,) * len(center), center)
 
     @staticmethod
     def ellipsoid(semi_axes, center=None) -> "Domain":
-        semi_axes = tuple(float(a) for a in semi_axes)
-        if any(a <= 0 for a in semi_axes):
-            raise ValidationError("semi-axes must be positive")
+        semi_axes = _semi_axes(semi_axes)
         if center is None:
             center = (0.0,) * len(semi_axes)
         center = tuple(float(c) for c in center)
@@ -83,11 +91,12 @@ class Domain:
         a = np.asarray(self.semi_axes)
         return c - a, c + a
 
-    def validate_regularity(self, n_samples: int = 128, seed: int = 0) -> None:
-        """Sampled checks: Hessian of rho positive definite near the
-        boundary and grad rho nonvanishing on a small collar."""
-        rng = np.random.default_rng(seed)
-        u = rng.normal(size=(self.dim, n_samples))
+    def validate_regularity(self) -> None:
+        """Sampled checks at 128 boundary points (seed 0): Hessian of rho
+        positive definite near the boundary and grad rho nonvanishing on a
+        small collar."""
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=(self.dim, 128))
         u /= np.linalg.norm(u, axis=0)
         pts = np.asarray(self.center)[:, None] + np.asarray(self.semi_axes)[:, None] * u
         eig = np.linalg.eigvalsh(np.moveaxis(self.hess_rho(pts), -1, 0))
@@ -311,11 +320,16 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
     if margin < 0:
         raise ValidationError("margin must be nonnegative")
     lo, hi = domain.bounding_box()
-    axes = []
-    for d in range(domain.dim):
-        k0 = int(np.floor(lo[d] / h - 0.5)) - pad
-        k1 = int(np.ceil(hi[d] / h - 0.5)) + pad
-        axes.append((np.arange(k0, k1 + 1) + 0.5) * h)
+    # the lattice range of each axis in Python ints, sized before any array
+    too_large = ResolutionError(f"the grid at h={h} has more nodes than an array can hold")
+    try:
+        ranges = [(math.floor(a / h - 0.5) - pad, math.ceil(b / h - 0.5) + pad)
+                  for a, b in zip(lo.tolist(), hi.tolist())]
+    except OverflowError:  # a / h or b / h is infinite
+        raise too_large from None
+    if 8 * domain.dim * math.prod(k1 - k0 + 1 for k0, k1 in ranges) > np.iinfo(np.intp).max:
+        raise too_large
+    axes = [(np.arange(k0, k1 + 1) + 0.5) * h for k0, k1 in ranges]
     shape = tuple(len(a) for a in axes)
     coords = np.empty((domain.dim,) + shape)
     for d, a in enumerate(axes):

@@ -65,29 +65,6 @@ def sort_signature(seq, n=None) -> SignedIndex:
     return SignedIndex(MultiIndex(sorted(seq)), -1 if inversions % 2 else 1)
 
 
-def prepend(j: int, index: MultiIndex, n=None) -> SignedIndex:
-    """Signed index for (j, i1, ..., ip); sign 0 if j already occurs."""
-    if j < 1 or (n is not None and j > n):
-        raise ValidationError(f"index {j} outside 1..{n}")
-    if j in index:
-        return SignedIndex(EMPTY, 0)
-    pos = sum(1 for i in index if i < j)
-    merged = tuple(index[:pos]) + (j,) + tuple(index[pos:])
-    return SignedIndex(MultiIndex(merged), -1 if pos % 2 else 1)
-
-
-def remove(index: MultiIndex, j: int) -> tuple[MultiIndex, int]:
-    """Delete j from an increasing multiindex.
-
-    Returns (index without j, sign relating (j, index-without-j) to index).
-    """
-    if j not in index:
-        raise ValidationError(f"index {j} not contained in {tuple(index)}")
-    pos = index.index(j)
-    rest = MultiIndex(index[:pos] + index[pos + 1:])
-    return rest, (-1 if pos % 2 else 1)
-
-
 @lru_cache(maxsize=None)
 def increasing_indices(n: int, p: int) -> tuple[MultiIndex, ...]:
     """All degree-p increasing multiindices over 1..n, lexicographic."""

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bridge, calculus, forms
+from .bridge import REAL_TOL
 from .domain import Grid, Weight, estimate_c
 from .errors import SolverError, ValidationError
 from .forms import ComplexForm, RealForm, n_complex_coeffs
@@ -185,9 +186,6 @@ def solve_dbar(g: ComplexForm, weight: Weight, grid: Grid,
                             weight, grid, tol, maxiter)
 
 
-REAL_TOL = 1e-10  # realness gate: |f - conj f| <= tol * |f|, maxima over the grid
-
-
 def _relative_asymmetry(f: ComplexForm) -> float:
     asym, scale = bridge._asymmetry(f)
     return asym / scale
@@ -324,14 +322,14 @@ def _assemble_report(f_int: np.ndarray, u: ComplexForm, weight: Weight, grid: Gr
         residual=residual, **fields)
 
 
-def corollary_constant(grid: Grid, f: ComplexForm | None = None,
-                       tol: float = 1e-10) -> tuple[float, dict]:
+def corollary_constant(grid: Grid, f: ComplexForm | None = None) -> tuple[float, dict]:
     """Unweighted solvability constant from the weighted pipeline.
 
-    Runs the construction with phi = |x|^2 (convexity constant 2) and
-    sandwiches the weighted estimate between exp(-max phi) and
-    exp(-min phi) over G, giving the explicit constant
-    c_Omega = 2 exp(max phi - min phi), 2 exp(R^2) on a radius-R ball.
+    Runs the construction with phi = |x|^2 (convexity constant 2), at
+    the pipeline's default tolerance, and sandwiches the weighted
+    estimate between exp(-max phi) and exp(-min phi) over G, giving the
+    explicit constant c_Omega = 2 exp(max phi - min phi), 2 exp(R^2) on a
+    radius-R ball.
     Returns c_Omega and the measured unweighted norms and ratio.
     """
     weight = Weight.abs2(grid.dim)
@@ -340,7 +338,7 @@ def corollary_constant(grid: Grid, f: ComplexForm | None = None,
     with grid.sharing():  # the pipeline and the norms share phi and the node indices
         phi = grid.phi_values(weight, grid.interior)
         c_omega = 2.0 * math.exp(float(phi.max()) - float(phi.min()))
-        u, report = solve_poincare_lelong(f, weight, grid, tol=tol)
+        u, report = solve_poincare_lelong(f, weight, grid)
         zero = Weight.zero(grid.dim)
         norm_u2 = forms.norm2(u, zero, grid.mask_eq)
         norm_f2 = forms.norm2(f, zero, grid.mask_eq)

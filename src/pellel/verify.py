@@ -23,11 +23,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from .calculus import d_terms
 from .domain import BoundaryQuadrature, Domain, Grid, Weight, estimate_c
 from .errors import ValidationError
 from .forms import weighted_sum
-from .multiindex import (MultiIndex, increasing_indices, index_positions, prepend,
-                         remove, sort_signature)
+from .multiindex import (MultiIndex, increasing_indices, index_positions, num_indices,
+                         sort_signature)
 
 
 def _monomials(points: np.ndarray, box: tuple[int, ...]) -> np.ndarray:
@@ -150,32 +151,23 @@ class Poly:
 @lru_cache(maxsize=None)
 def _d_matrix(nvars: int, degree: int) -> np.ndarray:
     """Exterior derivative on first jets of the coefficients: entry
-    [pos(J'), pos(J) (N + 1) + j] is the sign of dx_j ^ dx_J = sign dx_J'
+    [o, i (N + 1) + ax + 1] is s for each term (o, i, s, ax) of d_terms
     (see _first_jet for the layout of the columns)."""
-    pos = index_positions(nvars, degree)
-    out_pos = index_positions(nvars, degree + 1)
-    mat = np.zeros((len(out_pos), len(pos) * (nvars + 1)))
-    for J, k in pos.items():
-        for j in range(1, nvars + 1):
-            signed = prepend(j, J, nvars)
-            if signed.sign:
-                mat[out_pos[signed.index], k * (nvars + 1) + j] = signed.sign
+    mat = np.zeros((num_indices(nvars, degree + 1), num_indices(nvars, degree) * (nvars + 1)))
+    for o, i, s, ax in d_terms(nvars, degree):
+        mat[o, i * (nvars + 1) + ax + 1] = s
     mat.flags.writeable = False
     return mat
 
 
 @lru_cache(maxsize=None)
 def _jet_matrix(nvars: int, degree: int) -> np.ndarray:
-    """Signed selection of a_{jI} from the components: entry [pos(I) N +
-    j - 1, pos(J)] is the sign of sort_signature((j,) + I) when that sorts
-    to J, and the rows with j in I stay 0."""
-    pos = index_positions(nvars, degree)
-    low = index_positions(nvars, degree - 1)
-    mat = np.zeros((len(low) * nvars, len(pos)))
-    for J, k in pos.items():
-        for j in J:
-            I, sign = remove(J, j)
-            mat[low[I] * nvars + j - 1, k] = sign
+    """Signed selection of a_{jI} from the components: entry [i N + ax, o]
+    is s for each term (o, i, s, ax) of d_terms on degree - 1, j = ax + 1,
+    and the rows with j in I stay 0."""
+    mat = np.zeros((num_indices(nvars, degree - 1) * nvars, num_indices(nvars, degree)))
+    for o, i, s, ax in d_terms(nvars, degree - 1):
+        mat[i * nvars + ax, o] = s
     mat.flags.writeable = False
     return mat
 
@@ -235,16 +227,16 @@ class PolyForm:
         return values.reshape((len(self.coef),) + np.shape(points)[1:])
 
 
-def random_polyform(rng: np.random.Generator, nvars: int, degree: int,
-                    max_power: int = 2, terms: int = 4) -> PolyForm:
-    """Random polynomial form with small integer-grade coefficients.  Per
-    term it draws the exponents, then the coefficient: integers(size=N)
-    gives the N values of N scalar integers() calls, and standard_normal()
-    the value of normal(), so a seed gives the forms of those calls."""
-    coef = np.zeros((len(increasing_indices(nvars, degree)),) + (max_power + 1,) * nvars)
+def random_polyform(rng: np.random.Generator, nvars: int, degree: int) -> PolyForm:
+    """Random polynomial form with small integer-grade coefficients: four
+    terms per component, each with exponents in 0..2.  Per term it draws
+    the exponents, then the coefficient: integers(size=N) gives the N
+    values of N scalar integers() calls, and standard_normal() the value
+    of normal(), so a seed gives the forms of those calls."""
+    coef = np.zeros((len(increasing_indices(nvars, degree)),) + (3,) * nvars)
     for c in coef:
-        for _ in range(terms):
-            c[tuple(rng.integers(0, max_power + 1, size=nvars).tolist())] += rng.standard_normal()
+        for _ in range(4):
+            c[tuple(rng.integers(0, 3, size=nvars).tolist())] += rng.standard_normal()
     return PolyForm._of(nvars, degree, coef)
 
 
@@ -314,19 +306,21 @@ def check_dalpha_identity(alpha: PolyForm, points: np.ndarray) -> float:
 
 
 def check_boundary_identity(alpha: PolyForm, domain: Domain,
-                            quad: BoundaryQuadrature,
-                            pre_tol: float = 1e-8) -> float:
+                            quad: BoundaryQuadrature) -> float:
     """Max deviation, over boundary nodes, of the tangential-derivative
     identity satisfied by adjoint-domain forms:
 
         sum_{j,k} a_{kI} (d a_{jI}/dx_k) (d rho/dx_j)
             = - sum_{j,k} a_{jI} a_{kI} d2 rho/dx_j dx_k.
+
+    Raises unless alpha is in that domain: its normal component is at
+    most 1e-8 of its largest coefficient on the nodes.
     """
     a, da = _jet(alpha, quad.nodes)
     grad = domain.grad_rho(quad.nodes)
     scale = max(float(np.abs(a).max()), 1e-300)
     violation = float(np.abs(_normal_component(a, grad)).max())
-    if violation > pre_tol * scale:
+    if violation > 1e-8 * scale:
         raise ValidationError(
             f"form violates the adjoint-domain boundary condition: {violation:.3e}")
     lhs = np.einsum("ik...,ijk...,j...->i...", a, da, grad)

@@ -80,6 +80,13 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
     {"mode": "verify", "verify_suite": "basic", "domain": FAR_DISK},
     {"h": float("nan")}, {"h_values": [float("nan")]}, {"slack": float("nan")},
     {"tol": float("nan")},
+    {"h": 1e-300}, {"h": 1e-12},
+    {"domain": {"kind": "ball", "radius": 1e300}},
+    {"domain": {"kind": "ball", "radius": 1e-200}},
+    {"domain": {"kind": "ball", "radius": float("inf")}},
+    {"out": 5},
+    {"weight": {"kind": "zero"}},
+    {"form": {"preset": "i_dz_dbar"}},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -90,12 +97,32 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "quadratic_ragged", "quadratic_wrong_dim", "form_string", "form_table_number",
         "pipeline_real_form", "poincare_complex_form", "boundary_suite_dim4",
         "h_no_interior", "margin_no_interior", "bochner_weight_underflows",
-        "basic_weight_underflows", "h_nan", "h_values_nan", "slack_nan", "tol_nan"])
+        "basic_weight_underflows", "h_nan", "h_values_nan", "slack_nan", "tol_nan",
+        "h_tiny", "h_1e-12", "radius_huge", "radius_tiny", "radius_inf", "out_number",
+        "pipeline_zero_weight", "preset_unknown"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kw", [
+    {"mode": "pipeline", "domain": {"kind": "ellipsoid", "semi_axes": [1.0, 0.6]}},
+    {"mode": "pipeline", "weight": {"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 2.0]]}},
+    {"mode": "poincare", "form": {"preset": "d_x1x2"}},
+    {"mode": "dbar", "form": {"preset": "2zbar_dzbar"}},
+], ids=["ellipsoid", "quadratic_weight", "d_x1x2", "2zbar_dzbar"])
+def test_config_kinds_run(tmp_path, kw):
+    cfg = write_cfg(tmp_path, h=1 / 16, out=str(tmp_path / "out"), **kw)
+    assert cli.main(["run", "--config", cfg]) == 0
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example configuration:")[1].split("```json")[1].split("```")[0]
+    cfg = write_cfg(tmp_path, **{**json.loads(example), "out": str(tmp_path / "out")})
+    assert cli.main(["run", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("suite", ["dalpha", "boundary"])

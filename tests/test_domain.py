@@ -30,6 +30,23 @@ def test_build_grid_invalid_spacing():
         pl.build_grid(pl.Domain.ball(1.0), 0.0)
 
 
+@pytest.mark.parametrize("h", [1e-310, 1e-300, 1e-12])
+def test_build_grid_too_fine_raises_before_allocating(h):
+    # 1e-300 and 1e-12 once escaped as a ValueError from np.arange and an
+    # _ArrayMemoryError asking for 14.6 TiB; 1/1e-310 overflows a float
+    with pytest.raises(ResolutionError, match="more nodes than an array can hold"):
+        pl.build_grid(pl.Domain.ball(1.0), h)
+
+
+@pytest.mark.parametrize("a", [1e300, 1e-200, float("inf")])
+def test_semi_axes_need_positive_finite_squares(a):
+    # 1e300 once overflowed and 1e-200 divided by zero in hess_rho
+    with pytest.raises(ValidationError, match="squares"):
+        pl.Domain.ball(a)
+    with pytest.raises(ValidationError, match="squares"):
+        pl.Domain.ellipsoid((1.0, a))
+
+
 def test_build_grid_matches_brute_force_count():
     dom = pl.Domain.ellipsoid((1.0, 2.0))
     h = 0.25

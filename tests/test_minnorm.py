@@ -134,6 +134,19 @@ def test_raw_residual_history(disk_grid_coarse, gauss2, rng, p, method):
     assert best == [min([1.0] + raw[:k + 1]) for k in range(len(raw))]
 
 
+@pytest.mark.parametrize("maxiter", [1, 3, 7])
+def test_craig_maxiter_stop_recomputes_the_residual(disk_grid_coarse, gauss2, maxiter):
+    # the top-degree d in 2-D runs Craig's method; its last iterate's
+    # residual is recomputed from f - A u, one matvec after the loop
+    A = d_map(disk_grid_coarse, gauss2, 1)
+    f = A.apply(np.random.default_rng(0).standard_normal(A.source_shape))
+    u, rep = solve_min_norm(A, f, tol=1e-10, maxiter=maxiter)
+    assert (rep.method, rep.reason, rep.iterations) == ("craig", "maxiter", maxiter)
+    assert rep.matvecs == 2 * maxiter + 1
+    r = f - A.apply(u)
+    assert rep.relative_residual == np.sqrt(A.dot_target(r, r) / A.dot_target(f, f))
+
+
 def test_scale_equivariance(disk_grid_coarse, gauss2):
     grid = disk_grid_coarse
     A = d_map(grid, gauss2, 1)

@@ -1,11 +1,14 @@
 import itertools
 from math import comb
 
+import numpy as np
 import pytest
 
+from pellel.calculus import d_terms
 from pellel.errors import ValidationError
 from pellel.multiindex import (MultiIndex, increasing_indices, index_positions,
-                               num_indices, prepend, remove, sort_signature)
+                               num_indices, sort_signature)
+from pellel.verify import _d_matrix, _jet_matrix
 
 
 def test_sort_signature_examples():
@@ -42,35 +45,31 @@ def test_sort_signature_matches_brute_force(rng):
         assert s.sign == brute_sign(seq)
 
 
-def test_prepend_examples():
-    s = prepend(1, MultiIndex((2,)))
-    assert tuple(s.index) == (1, 2) and s.sign == 1
-    s = prepend(3, MultiIndex((2,)))
-    assert tuple(s.index) == (2, 3) and s.sign == -1
-    s = prepend(2, MultiIndex((2,)))
-    assert s.sign == 0
+def _d_table(n, p):
+    """d's terms from the definition: dx_j ^ dx_I = brute_sign((j,) + I)
+    dx_J, J the sorted (j,) + I, for every increasing I and every j not
+    in I; each term is (pos(J), pos(I), sign, j - 1)."""
+    pos_out = index_positions(n, p + 1)
+    return tuple((pos_out[MultiIndex(sorted((j,) + I))], i, float(brute_sign((j,) + I)), j - 1)
+                 for i, I in enumerate(increasing_indices(n, p))
+                 for j in range(1, n + 1) if j not in I)
 
 
-def test_remove_examples():
-    assert remove(MultiIndex((1, 2)), 1) == (MultiIndex((2,)), 1)
-    assert remove(MultiIndex((1, 2)), 2) == (MultiIndex((1,)), -1)
-    assert remove(MultiIndex((1, 2, 3)), 3) == (MultiIndex((1, 2)), 1)
-    with pytest.raises(ValidationError):
-        remove(MultiIndex((1, 2)), 5)
-
-
-def test_prepend_then_remove_roundtrip(rng):
-    for _ in range(100):
-        n = int(rng.integers(2, 7))
-        p = int(rng.integers(0, n))
-        idx = MultiIndex(sorted(rng.permutation(n)[:p] + 1))
-        j = int(rng.integers(1, n + 1))
-        if j in idx:
-            continue
-        s = prepend(j, idx, n)
-        back, sign = remove(s.index, j)
-        assert tuple(back) == tuple(idx)
-        assert s.sign * sign == 1
+def test_d_sign_table_matches_definition():
+    for n in range(1, 7):
+        for p in range(0, n + 1):
+            assert d_terms(n, p) == _d_table(n, p)
+    for n in range(1, 6):
+        for p in range(0, n + 1):
+            d_mat = np.zeros((num_indices(n, p + 1), num_indices(n, p) * (n + 1)))
+            for o, i, s, ax in _d_table(n, p):
+                d_mat[o, i * (n + 1) + ax + 1] = s
+            assert np.array_equal(_d_matrix(n, p), d_mat)
+            if p:
+                jet_mat = np.zeros((num_indices(n, p - 1) * n, num_indices(n, p)))
+                for o, i, s, ax in _d_table(n, p - 1):
+                    jet_mat[i * n + ax, o] = s
+                assert np.array_equal(_jet_matrix(n, p), jet_mat)
 
 
 def test_enumeration_cardinality_and_order():

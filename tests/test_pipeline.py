@@ -88,6 +88,20 @@ def test_dbar_manufactured_2zbar(disk_grid_coarse, gauss2):
     assert np.sqrt(err / rep.rhs_norm2) <= 1e-6
 
 
+def test_dbar_closedness_gate_in_c2():
+    # dbar(zbar_2 dzbar_1) = dzbar_2 ^ dzbar_1 is not 0, so the gate
+    # rejects it; dzbar_1 is closed and passes
+    grid = pl.build_grid(pl.Domain.ball(1.0, dim=4), 1 / 3)
+    weight = pl.Weight.abs2(4)
+    g = pl.ComplexForm.zeros(grid, (0, 1))
+    g.coeffs[0] = grid.coords[2] - 1j * grid.coords[3]
+    with pytest.raises(ValidationError, match="dbar right-hand side is not closed"):
+        pl.solve_dbar(g, weight, grid)
+    g.coeffs[0] = 1.0
+    _, rep = pl.solve_dbar(g, weight, grid)
+    assert rep.converged
+
+
 def test_pipeline_zero(disk_grid_coarse, gauss2):
     f = pl.ComplexForm.zeros(disk_grid_coarse, (1, 1))
     u, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
