@@ -1,5 +1,5 @@
 """Discrete differential operators: d, its weighted adjoints, and the
-complex operators built from Wirtinger combinations of the same stencils.
+complex operators, the pure-type parts of d, on the same stencils.
 
 Per-axis differences are centered O(h**2) except at the two box faces,
 where they fall back to first-order one-sided differences.  The stencil
@@ -28,8 +28,7 @@ import numpy as np
 
 from .domain import Grid, Weight, _dilate
 from .errors import ValidationError
-from .forms import (_BIDEGREES, ComplexForm, RealForm, complex_layout, n_complex_coeffs,
-                    wirtinger_frame)
+from .forms import _BIDEGREES, ComplexForm, RealForm, expansion_matrix, n_complex_coeffs
 from .multiindex import increasing_indices, index_positions, num_indices, sort_signature
 
 
@@ -103,26 +102,19 @@ def _raised(bidegree: tuple[int, int], bar: bool) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def complex_terms(n: int, bidegree: tuple[int, int], bar: bool):
-    """Terms of the (0,1)- or (1,0)-raising complex operator on C^n.
-
-    bar selects the antiholomorphic operator.  The derivative of the
-    coefficient of dz_I wedge dzbar_J along d/dz_k (Wirtinger frame) is
-    wedged with dz_k on the left; along d/dzbar_k, dzbar_k moves past
-    dz_I, with sign (-1)^|I|.
-    """
-    frame = wirtinger_frame(n).conj() if bar else wirtinger_frame(n)
-    out_pos = {IJ: o for o, IJ in enumerate(complex_layout(n, _raised(bidegree, bar)))}
-    terms = []
-    for s, (I, J) in enumerate(complex_layout(n, bidegree)):
-        for k in range(1, n + 1):
-            signed = sort_signature((k,) + (J if bar else I), n)
-            if not signed.sign:
-                continue
-            o = out_pos[(I, signed.index) if bar else (signed.index, J)]
-            sign = signed.sign * (-1) ** len(I) if bar else signed.sign
-            terms += [(o, s, sign * complex(frame[k - 1, ax]), int(ax))
-                      for ax in np.flatnonzero(frame[k - 1])]
-    return tuple(terms)
+    """Terms of the (0,1)- or (1,0)-raising complex operator on C^n (bar
+    selects the antiholomorphic one), the (p,q+1) or (p+1,q) part of d:
+    along axis ax, E_out^H D_ax E_in / 2^(p+q+1) for E = expansion_matrix
+    and D_ax the terms of d_terms(2n, p+q) on ax.  Listed by input slot,
+    then output slot, then axis."""
+    E_out = expansion_matrix(n, _raised(bidegree, bar))
+    E_in = expansion_matrix(n, bidegree)
+    D = np.zeros((2 * n, len(E_out), len(E_in)))
+    for o, i, s, ax in d_terms(2 * n, sum(bidegree)):
+        D[ax, o, i] = s
+    T = (E_out.conj().T @ D @ E_in).transpose(2, 1, 0) / 2 ** (sum(bidegree) + 1)
+    return tuple((int(o), int(i), complex(T[i, o, ax]), int(ax))
+                 for i, o, ax in zip(*np.nonzero(T)))
 
 
 def apply_terms(terms, coeffs: np.ndarray, n_out: int, h: float, dtype=None) -> np.ndarray:
@@ -346,11 +338,12 @@ def partial(u: ComplexForm) -> ComplexForm:
 @lru_cache(maxsize=None)
 def conj_layout(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, ...], int]:
     """For each position of the (q,p) layout, the position in the (p,q)
-    layout that its conjugate comes from, and the sign (-1)^(pq) of
-    conj(dz_I wedge dzbar_J) = (-1)^(|I||J|) dz_J wedge dzbar_I."""
-    p, q = bidegree
-    src = {IJ: k for k, IJ in enumerate(complex_layout(n, (p, q)))}
-    return tuple(src[J, I] for I, J in complex_layout(n, (q, p))), (-1) ** (p * q)
+    layout that its conjugate comes from, and the sign s of
+    E_(q,p)^H conj(E_(p,q)) = s 2^(p+q) P, P a permutation matrix."""
+    M = expansion_matrix(n, bidegree[::-1]).conj().T @ expansion_matrix(n, bidegree).conj()
+    sources = np.nonzero(M)[1]
+    # (2,0) and (0,2) in C^1 have no basis form, so no entry to read a sign from
+    return tuple(sources.tolist()), int(np.sign(M[0, sources[0]].real)) if sources.size else 1
 
 
 def conj_coefficient(f: ComplexForm, k: int) -> np.ndarray:

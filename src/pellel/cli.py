@@ -8,7 +8,8 @@ row per spacing with an empirical order column).
     pellel run --config cfg.json [--mode M] [--h H] [--out DIR] [--seed S]
 
 Exit codes: 0 all checks passed, 1 a numeric check failed, 2 invalid
-configuration, 3 a solver stage failed.
+configuration (an unreadable config or form table, or an output directory
+that cannot be made, included), 3 a solver stage failed.
 """
 
 from __future__ import annotations
@@ -66,13 +67,30 @@ def _is_degree(value) -> bool:
     return all(_is_number(v, int) and v >= 0 for v in parts)
 
 
+def _dzbar_1(grid: Grid, value) -> ComplexForm:
+    """value dzbar_1, a (0,1)-form in C^n for any n."""
+    g = ComplexForm.zeros(grid, (0, 1))
+    g.coeffs[0] = value
+    return g
+
+
+# the form presets by name, each with its builder on a grid
+FORM_PRESETS = {
+    "i_dz_dzbar": pipeline.standard_11_form,
+    "dx1_dx2": lambda grid: RealForm.from_components(grid, 2, {(1, 2): 1.0}),
+    "d_x1x2": lambda grid: RealForm.from_components(grid, 1, {
+        (1,): lambda x: x[1], (2,): lambda x: x[0]}),
+    "dzbar": lambda grid: _dzbar_1(grid, 1.0),
+    "2zbar_dzbar": lambda grid: _dzbar_1(grid, 2.0 * (grid.coords[0] - 1j * grid.coords[1])),
+}
+
 # the fields of the domain, weight and form specs, by kind, with their type
 # tests; a form spec is of kind "table" when it names a table, else "preset"
 SPEC_FIELDS = {
     "domain": {"ball": {"radius": _is_number, "dim": _is_count, "center": _is_numbers},
                "ellipsoid": {"semi_axes": _is_numbers, "center": _is_numbers}},
     "weight": {"abs2": {}, "zero": {}, "quadratic": {"matrix": _is_square_matrix}},
-    "form": {"preset": {"preset": lambda v: isinstance(v, str)},
+    "form": {"preset": {"preset": lambda v: isinstance(v, str) and v in FORM_PRESETS},
              "table": {"table": lambda v: isinstance(v, str), "degree": _is_degree}},
 }
 DEFAULT_KIND = {"domain": "ball", "weight": "abs2"}
@@ -97,8 +115,8 @@ def _check_spec(name: str, spec) -> None:
         if key not in fields:
             raise ValidationError(f"unknown field {key!r} in {kind} {name} spec")
         if not fields[key](value):
-            raise ValidationError(f"{name} field {key!r} has a value of the wrong "
-                                  f"type or shape: {value!r}")
+            raise ValidationError(f"{name} field {key!r} has an unknown value or one of "
+                                  f"the wrong type or shape: {value!r}")
     required = REQUIRED_FIELD.get(kind)
     if required is not None and required not in spec:
         raise ValidationError(f"{kind} {name} spec needs {required!r}")
@@ -124,8 +142,11 @@ class RunConfig:
 
     @staticmethod
     def from_file(path: str) -> "RunConfig":
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: unreadable config ({exc})") from None
         if not isinstance(data, dict):
             raise ValidationError(f"config must be a JSON object, got {data!r}")
         known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -170,52 +191,37 @@ class RunConfig:
 
 
 def _build_domain(spec: dict) -> Domain:
-    kind = spec.get("kind", DEFAULT_KIND["domain"])
+    """The domain of a spec that validate accepted."""
     center = spec.get("center")
-    if kind == "ball":
+    if spec.get("kind", DEFAULT_KIND["domain"]) == "ball":
         return Domain.ball(spec.get("radius", 1.0), center=center, dim=spec.get("dim"))
-    if kind == "ellipsoid":
-        return Domain.ellipsoid(spec["semi_axes"], center=center)
-    raise ValidationError(f"unknown domain kind {kind!r}")
+    return Domain.ellipsoid(spec["semi_axes"], center=center)
 
 
 def _build_weight(spec: dict, dim: int) -> Weight:
+    """The weight of a spec that validate accepted."""
     kind = spec.get("kind", DEFAULT_KIND["weight"])
     if kind == "abs2":
         return Weight.abs2(dim)
     if kind == "zero":
         return Weight.zero(dim)
-    if kind == "quadratic":
-        matrix = np.asarray(spec["matrix"], dtype=float)
-        if matrix.shape != (dim, dim):
-            raise ValidationError(f"quadratic weight on a {dim}-dimensional domain "
-                                  f"needs a {dim} x {dim} matrix, got {matrix.shape}")
-        return Weight.quadratic(matrix)
-    raise ValidationError(f"unknown weight kind {kind!r}")
+    matrix = np.asarray(spec["matrix"], dtype=float)
+    if matrix.shape != (dim, dim):
+        raise ValidationError(f"quadratic weight on a {dim}-dimensional domain "
+                              f"needs a {dim} x {dim} matrix, got {matrix.shape}")
+    return Weight.quadratic(matrix)
 
 
 def _build_form(spec: dict, grid: Grid, mode: str):
+    """The form of a spec that validate accepted."""
     if "table" in spec:
         kind = spec.get("degree", 2 if mode == "poincare" else
                         ((0, 1) if mode == "dbar" else (1, 1)))
-        return forms.from_csv(grid, kind, spec["table"])
-    preset = spec.get("preset")
-    if preset == "i_dz_dzbar":
-        return pipeline.standard_11_form(grid)
-    if preset == "dx1_dx2":
-        return RealForm.from_components(grid, 2, {(1, 2): 1.0})
-    if preset == "d_x1x2":
-        return RealForm.from_components(grid, 1, {
-            (1,): lambda x: x[1], (2,): lambda x: x[0]})
-    if preset == "dzbar":
-        g = ComplexForm.zeros(grid, (0, 1))
-        g.coeffs[0] = 1.0
-        return g
-    if preset == "2zbar_dzbar":
-        g = ComplexForm.zeros(grid, (0, 1))
-        g.coeffs[0] = 2.0 * (grid.coords[0] - 1j * grid.coords[1])
-        return g
-    raise ValidationError(f"unknown form preset {preset!r}")
+        try:
+            return forms.from_csv(grid, kind, spec["table"])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{spec['table']}: unreadable form table ({exc})") from None
+    return FORM_PRESETS[spec["preset"]](grid)
 
 
 def _single_run(cfg: RunConfig, h: float) -> dict:
@@ -298,12 +304,10 @@ def _verify_run(cfg: RunConfig) -> dict:
 
 
 def _write_report(path: Path, report: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(report, indent=2, sort_keys=True, default=float))
 
 
 def _write_table(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -316,6 +320,10 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
     cfg.validate()
     t0 = time.perf_counter()
     out_dir = Path(cfg.out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"out {cfg.out!r}: cannot make the directory ({exc})") from None
     rows: list[dict] = []
     checks: list[tuple[str, bool, str]] = []
     detail: dict = {}

@@ -26,11 +26,13 @@ from .errors import ResolutionError, UnsupportedDomainError, ValidationError
 
 def _semi_axes(values) -> tuple[float, ...]:
     """The semi-axes as floats; rho and its derivatives divide by their
-    squares, which must be positive finite floats."""
+    squares, which must be positive finite floats, and hess_rho holds
+    2 / a**2, which must be finite."""
     axes = tuple(float(a) for a in values)
-    if not all(a > 0 and 0 < a * a < math.inf for a in axes):
+    if not all(a > 0 and 0 < a * a < math.inf and 2 / (a * a) < math.inf for a in axes):
         raise ValidationError(
-            f"semi-axes {axes} must be positive, with squares that are positive finite floats")
+            f"semi-axes {axes} must be positive, with squares a**2 and 2 / a**2 that are "
+            "positive finite floats")
     return axes
 
 
@@ -72,7 +74,9 @@ class Domain:
     def rho(self, points):
         y = self._shifted(points)
         a2 = np.asarray(self.semi_axes, dtype=float).reshape(y.shape[0:1] + (1,) * (y.ndim - 1)) ** 2
-        return np.sum(y * y / a2, axis=0) - 1.0
+        # y**2 / a**2 overflows only far outside G, so rho = +inf keeps such a node out
+        with np.errstate(over="ignore"):
+            return np.sum(y * y / a2, axis=0) - 1.0
 
     def grad_rho(self, points):
         y = self._shifted(points)
@@ -103,7 +107,8 @@ class Domain:
         if eig.min() <= 0:
             raise ValidationError("defining function is not strictly convex on the boundary")
         g = self.grad_rho(pts)
-        if np.linalg.norm(g, axis=0).min() <= 0:
+        # from the entries: a norm squares them, which can overflow
+        if np.abs(g).max(axis=0).min() <= 0:
             raise ValidationError("grad rho vanishes on the boundary")
 
 

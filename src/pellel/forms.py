@@ -67,15 +67,21 @@ def real_expansion(n: int, bidegree: tuple[int, int]) -> tuple[tuple[int, int, c
 
 
 @lru_cache(maxsize=None)
+def expansion_matrix(n: int, bidegree: tuple[int, int]) -> np.ndarray:
+    """real_expansion as a read-only matrix E: E c expands the (p,q) form
+    with coefficients c, and E^H g / 2^(p+q) is the (p,q) part of g."""
+    E = np.zeros((num_indices(2 * n, sum(bidegree)), n_complex_coeffs(n, bidegree)), complex)
+    for r, k, e in real_expansion(n, bidegree):
+        E[r, k] = e
+    E.flags.writeable = False
+    return E
+
+
 def wirtinger_frame(n: int) -> np.ndarray:
     """W of shape (n, 2n) with d/dz_j = sum_a W[j, a] d/dx_a; d/dzbar_j
     takes conj(W).  The frame dual to the dz_j: the adjoint of their
     expansion divided by their squared norm 2."""
-    W = np.zeros((n, 2 * n), dtype=complex)
-    for r, k, e in real_expansion(n, (1, 0)):
-        W[k, r] = e.conjugate() / 2
-    W.flags.writeable = False
-    return W
+    return expansion_matrix(n, (1, 0)).conj().T / 2
 
 
 def n_complex_coeffs(n: int, bidegree: tuple[int, int]) -> int:

@@ -87,6 +87,8 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
     {"out": 5},
     {"weight": {"kind": "zero"}},
     {"form": {"preset": "i_dz_dbar"}},
+    {"mode": "verify", "form": {"preset": "nonsense"}},
+    {"domain": {"kind": "ball", "radius": 1e-160}},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -99,7 +101,8 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "h_no_interior", "margin_no_interior", "bochner_weight_underflows",
         "basic_weight_underflows", "h_nan", "h_values_nan", "slack_nan", "tol_nan",
         "h_tiny", "h_1e-12", "radius_huge", "radius_tiny", "radius_inf", "out_number",
-        "pipeline_zero_weight", "preset_unknown"])
+        "pipeline_zero_weight", "preset_unknown", "preset_unknown_verify",
+        "radius_subnormal_square"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
@@ -112,9 +115,12 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     {"mode": "pipeline", "weight": {"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 2.0]]}},
     {"mode": "poincare", "form": {"preset": "d_x1x2"}},
     {"mode": "dbar", "form": {"preset": "2zbar_dzbar"}},
-], ids=["ellipsoid", "quadratic_weight", "d_x1x2", "2zbar_dzbar"])
+    {"mode": "dbar", "domain": {"dim": 4}, "form": {"preset": "dzbar"}, "h": 1 / 4},
+    {"mode": "dbar", "domain": {"dim": 4}, "form": {"preset": "2zbar_dzbar"}, "h": 1 / 4},
+], ids=["ellipsoid", "quadratic_weight", "d_x1x2", "2zbar_dzbar", "dzbar_dim4",
+        "2zbar_dzbar_dim4"])
 def test_config_kinds_run(tmp_path, kw):
-    cfg = write_cfg(tmp_path, h=1 / 16, out=str(tmp_path / "out"), **kw)
+    cfg = write_cfg(tmp_path, **{"h": 1 / 16, "out": str(tmp_path / "out"), **kw})
     assert cli.main(["run", "--config", cfg]) == 0
 
 
@@ -242,6 +248,24 @@ def test_dump_forms(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("case", ["config_directory", "config_binary", "table_directory",
+                                  "table_binary", "out_under_file"])
+def test_unreadable_input_exits_2(tmp_path, capsys, case):
+    # each once escaped main as an OSError or UnicodeDecodeError (exit 1)
+    binary = tmp_path / "binary"
+    binary.write_bytes(bytes(range(128, 256)))
+    (tmp_path / "file").write_text("")
+    fields = {"mode": "dbar", "form": {"preset": "dzbar"}, "h": 1 / 8,
+              "out": str(tmp_path / "out")}
+    fields.update({"table_directory": {"form": {"table": str(tmp_path)}},
+                   "table_binary": {"form": {"table": str(binary)}},
+                   "out_under_file": {"out": str(tmp_path / "file" / "out")}}.get(case, {}))
+    config = {"config_directory": tmp_path, "config_binary": binary}.get(
+        case, write_cfg(tmp_path, **fields))
+    assert cli.main(["run", "--config", str(config)]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_import_loads_no_scipy():

@@ -8,8 +8,9 @@ import pytest
 import pellel as pl
 from pellel import bridge, calculus as calc
 from pellel.errors import ValidationError
-from pellel.forms import _BIDEGREES, n_complex_coeffs, real_expansion, wirtinger_frame
-from pellel.multiindex import MultiIndex, increasing_indices, index_positions
+from pellel.forms import (_BIDEGREES, complex_layout, n_complex_coeffs, real_expansion,
+                          wirtinger_frame)
+from pellel.multiindex import MultiIndex, increasing_indices, index_positions, sort_signature
 
 NS = (1, 2, 3)
 
@@ -68,6 +69,40 @@ def test_complex_terms_match_hand_expansion(n):
         assert set(derived) == set(expected) and len(derived) == len(expected)
     # dbar on functions keeps its term order, which the dbar solve runs on
     assert list(calc.complex_terms(n, (0, 0), True)) == _oracle_complex_terms(n, (0, 0), True)
+
+
+def _wedge_rule_terms(n, bidegree, bar):
+    """Terms of dbar (bar) or partial by the wedge-sign rule: the derivative
+    along d/dz_k = (d/dx_{2k-1} - i d/dx_{2k}) / 2 is wedged with dz_k on
+    the left; along d/dzbar_k (+ i) dzbar_k moves past dz_I, with sign
+    (-1)^|I|.  Listed by input slot, then k, then axis."""
+    out_pos = {IJ: o for o, IJ in enumerate(complex_layout(n, _ORACLE_RAISED[bidegree, bar]))}
+    frame = (0.5, 0.5j if bar else -0.5j)
+    terms = []
+    for s, (I, J) in enumerate(complex_layout(n, bidegree)):
+        for k in range(1, n + 1):
+            signed = sort_signature((k,) + (J if bar else I), n)
+            if signed.sign:
+                o = out_pos[(I, signed.index) if bar else (signed.index, J)]
+                sign = signed.sign * (-1) ** len(I) if bar else signed.sign
+                terms += [(o, s, complex(sign * e), 2 * k - 2 + a) for a, e in enumerate(frame)]
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_complex_terms_and_conj_layout_match_the_wedge_rule(n):
+    # the derived tables keep the values, types and order of the rule
+    for bd, bar in _ORACLE_RAISED:
+        terms = calc.complex_terms(n, bd, bar)
+        assert terms == _wedge_rule_terms(n, bd, bar)
+        assert all(list(map(type, t)) == [int, int, complex, int] for t in terms)
+    # conj(dz_I ^ dzbar_J) = (-1)^(pq) dz_J ^ dzbar_I
+    for p, q in _BIDEGREES:
+        src = {IJ: k for k, IJ in enumerate(complex_layout(n, (p, q)))}
+        sources = tuple(src[J, I] for I, J in complex_layout(n, (q, p)))
+        layout = calc.conj_layout(n, (p, q))
+        assert layout == (sources, (-1) ** (p * q))
+        assert list(map(type, layout[0] + layout[1:])) == [int] * (len(sources) + 1)
 
 
 @pytest.mark.parametrize("n", NS)

@@ -38,13 +38,25 @@ def test_build_grid_too_fine_raises_before_allocating(h):
         pl.build_grid(pl.Domain.ball(1.0), h)
 
 
-@pytest.mark.parametrize("a", [1e300, 1e-200, float("inf")])
+@pytest.mark.parametrize("a", [1e300, 1e-200, float("inf"), 1e-160])
 def test_semi_axes_need_positive_finite_squares(a):
-    # 1e300 once overflowed and 1e-200 divided by zero in hess_rho
+    # 1e300 once overflowed and 1e-200 divided by zero in hess_rho; the
+    # square of 1e-160 is a positive subnormal, but 2 / a**2 is infinite
     with pytest.raises(ValidationError, match="squares"):
         pl.Domain.ball(a)
     with pytest.raises(ValidationError, match="squares"):
         pl.Domain.ellipsoid((1.0, a))
+
+
+@pytest.mark.parametrize("a", [1.1e-154, 1.5e-154])
+def test_tiny_ball_passes_regularity_and_has_no_node_at_h_one(a):
+    # the norm of grad rho once overflowed at 1.1e-154, and rho's
+    # y**2 / a**2 at the outer nodes of the 1.5e-154 grid; both warned
+    domain = pl.Domain.ball(a)
+    domain.validate_regularity()
+    assert domain.rho(np.full((2, 1), 2.5))[0] == np.inf
+    with pytest.raises(ResolutionError, match="no interior nodes"):
+        pl.build_grid(domain, 1.0)
 
 
 def test_build_grid_matches_brute_force_count():

@@ -434,6 +434,35 @@ def test_2d_stage_iterations_flat_in_h(h):
         assert stage.iterations <= 40
 
 
+# exact continuum ratios on the unit disk with phi = |x|^2: the worst
+# cases of stage 1 and of the C^1 dbar stage (suprema 1/8 and 1/2), and
+# dzbar, whose minimum-norm solution is zbar (the weighted mean of |z|^2)
+CLOSED_FORM_RATIOS = {
+    "poincare_worst_case": (pl.solve_poincare, 1 / 8,
+                            lambda grid, r2: pl.RealForm(grid, 2, (1.0 - r2)[None])),
+    "dbar_worst_case": (pl.solve_dbar, 1 / 2,
+                        lambda grid, r2: pl.ComplexForm(grid, (0, 1), (1.0 - r2)[None] + 0j)),
+    "dbar_dzbar": (pl.solve_dbar, (1 - 2 / np.e) / (1 - 1 / np.e),
+                   lambda grid, r2: pl.ComplexForm(grid, (0, 1), np.ones_like(r2)[None] + 0j)),
+}
+
+
+@pytest.mark.parametrize("case", CLOSED_FORM_RATIOS)
+def test_disk_ratio_converges_to_its_closed_form(case):
+    # measured orders 0.97-1.08; the first-order extrapolation is off by
+    # 1.4e-4, 5.8e-4 and 6.9e-4
+    solve, exact, make = CLOSED_FORM_RATIOS[case]
+    ratios = []
+    for h in (1 / 32, 1 / 64, 1 / 128):
+        grid = pl.build_grid(pl.Domain.ball(1.0), h)
+        _, rep = solve(make(grid, (grid.coords ** 2).sum(axis=0)), pl.Weight.abs2(2), grid,
+                       tol=1e-10)
+        ratios.append(rep.ratio)
+    errors = [r - exact for r in ratios]
+    assert all(a > 0 and b > 0 and np.log2(a / b) >= 0.8 for a, b in zip(errors, errors[1:]))
+    assert abs(2 * ratios[2] - ratios[1] - exact) <= 1e-3
+
+
 def test_corollary_constant_formula(disk_grid_coarse):
     c_om, detail = pl.corollary_constant(disk_grid_coarse)
     assert c_om <= 2.0 * np.e * (1 + 1e-9)
