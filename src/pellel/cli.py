@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +36,8 @@ from .pipeline import DEFAULT_SLACK
 CSV_COLUMNS = ["mode", "N", "h", "c", "norm_f2", "norm_u2", "ratio",
                "bound", "residual", "order"]
 
-MODES = ("pipeline", "poincare", "dbar", "verify", "converge")
+SOLVE_MODES = ("pipeline", "poincare", "dbar")
+MODES = SOLVE_MODES + ("verify", "converge")
 VERIFY_SUITES = ("all", "dalpha", "boundary", "bochner", "basic")
 
 
@@ -46,6 +45,14 @@ def _is_number(value, kinds=(int, float)) -> bool:
     """isinstance test that takes no JSON true/false, NaN or Infinity for a number."""
     return (isinstance(value, kinds) and not isinstance(value, bool)
             and (isinstance(value, int) or math.isfinite(value)))
+
+
+def _is_positive(value) -> bool:
+    return _is_number(value) and value > 0
+
+
+def _is_nonnegative(value, kinds=(int, float)) -> bool:
+    return _is_number(value, kinds) and value >= 0
 
 
 def _is_count(value) -> bool:
@@ -64,7 +71,7 @@ def _is_square_matrix(value) -> bool:
 def _is_degree(value) -> bool:
     """A degree p >= 0 or a bidegree [p, q]."""
     parts = value if isinstance(value, list) and len(value) == 2 else [value]
-    return all(_is_number(v, int) and v >= 0 for v in parts)
+    return all(_is_nonnegative(v, int) for v in parts)
 
 
 def _dzbar_1(grid: Grid, value) -> ComplexForm:
@@ -96,102 +103,80 @@ SPEC_FIELDS = {
 DEFAULT_KIND = {"domain": "ball", "weight": "abs2"}
 REQUIRED_FIELD = {"ellipsoid": "semi_axes", "quadratic": "matrix", "preset": "preset"}
 
+# each config field with its default and its test; a field the config
+# leaves out takes its default, and every field it gives is tested, in
+# every mode
+CONFIG_FIELDS = {
+    "mode": ("pipeline", lambda v: v in MODES),
+    "domain": ({"kind": "ball", "radius": 1.0, "dim": 2}, lambda v: _check_spec("domain", v)),
+    "weight": ({"kind": "abs2"}, lambda v: _check_spec("weight", v)),
+    "form": ({"preset": "i_dz_dzbar"}, lambda v: _check_spec("form", v)),
+    "h": (1.0 / 32, _is_positive),
+    "h_values": (None, lambda v: v is None or (_is_numbers(v) and min(v) > 0)),
+    "margin": (0.0, _is_nonnegative),
+    "tol": (1e-10, _is_positive),
+    "maxiter": (None, lambda v: v is None or _is_count(v)),
+    "slack": (DEFAULT_SLACK, _is_nonnegative),
+    "seed": (0, lambda v: _is_nonnegative(v, int)),
+    "out": ("out", lambda v: isinstance(v, str)),
+    "dump_forms": (False, lambda v: isinstance(v, bool)),
+    "verify_suite": ("all", lambda v: v in VERIFY_SUITES),
+    "converge_mode": ("pipeline", lambda v: v in SOLVE_MODES),
+}
 
-def _check_spec(name: str, spec) -> None:
-    """Raise ValidationError unless spec is an object of a known kind whose
-    fields are known, well typed and complete for that kind."""
+
+def _check_fields(where: str, fields: dict, tests: dict) -> None:
+    """Raise ValidationError unless every field has a test and passes it."""
+    for key, value in fields.items():
+        if key not in tests:
+            raise ValidationError(f"unknown field {key!r} in the {where}")
+        if not tests[key](value):
+            raise ValidationError(
+                f"{key} in the {where} has the wrong type, shape or value: {value!r}")
+
+
+def _check_spec(name: str, spec) -> bool:
+    """True if spec is an object of a known kind whose fields are known, well
+    typed and complete for that kind; else raise ValidationError."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{name} must be an object, got {spec!r}")
+    fields = dict(spec)
     if name == "form":
         kind = "table" if "table" in spec else "preset"
     else:
-        kind = spec.get("kind", DEFAULT_KIND[name])
+        kind = fields.pop("kind", DEFAULT_KIND[name])
         if not isinstance(kind, str) or kind not in SPEC_FIELDS[name]:
             raise ValidationError(f"unknown {name} kind {kind!r}")
-    fields = SPEC_FIELDS[name][kind]
-    for key, value in spec.items():
-        if key == "kind" and name != "form":
-            continue
-        if key not in fields:
-            raise ValidationError(f"unknown field {key!r} in {kind} {name} spec")
-        if not fields[key](value):
-            raise ValidationError(f"{name} field {key!r} has an unknown value or one of "
-                                  f"the wrong type or shape: {value!r}")
+    _check_fields(f"{kind} {name} spec", fields, SPEC_FIELDS[name][kind])
     required = REQUIRED_FIELD.get(kind)
     if required is not None and required not in spec:
         raise ValidationError(f"{kind} {name} spec needs {required!r}")
+    return True
 
 
-@dataclass
-class RunConfig:
-    mode: str = "pipeline"
-    domain: dict = field(default_factory=lambda: {"kind": "ball", "radius": 1.0, "dim": 2})
-    weight: dict = field(default_factory=lambda: {"kind": "abs2"})
-    form: dict = field(default_factory=lambda: {"preset": "i_dz_dzbar"})
-    h: float = 1.0 / 32
-    h_values: list | None = None
-    margin: float = 0.0
-    tol: float = 1e-10
-    maxiter: int | None = None
-    slack: float = DEFAULT_SLACK
-    seed: int = 0
-    out: str = "out"
-    dump_forms: bool = False
-    verify_suite: str = "all"
-    converge_mode: str = "pipeline"
-
-    @staticmethod
-    def from_file(path: str) -> "RunConfig":
+def load_config(path: str | None, overrides: dict) -> argparse.Namespace:
+    """The config of the JSON file at path (of no file if path is None or
+    empty) with overrides on top, every field checked and every field left
+    out at its default."""
+    data = {}
+    if path:
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValidationError(f"{path}: unreadable config ({exc})") from None
         if not isinstance(data, dict):
             raise ValidationError(f"config must be a JSON object, got {data!r}")
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        bad = set(data) - known
-        if bad:
-            raise ValidationError(f"unknown config fields: {sorted(bad)}")
-        return RunConfig(**data)
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("h", "margin", "tol", "slack"):
-            if not _is_number(getattr(self, name)):
-                raise ValidationError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if not (self.maxiter is None or _is_count(self.maxiter)):
-            raise ValidationError(
-                f"maxiter must be null or a positive integer, got {self.maxiter!r}")
-        if not (_is_number(self.seed, int) and self.seed >= 0):
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.h_values is not None and not _is_numbers(self.h_values):
-            raise ValidationError(
-                f"h_values must be a nonempty list of numbers, got {self.h_values!r}")
-        if not isinstance(self.out, str):
-            raise ValidationError(f"out must be a string, got {self.out!r}")
-        if not isinstance(self.dump_forms, bool):
-            raise ValidationError(f"dump_forms must be true or false, got {self.dump_forms!r}")
-        if self.verify_suite not in VERIFY_SUITES:
-            raise ValidationError(
-                f"verify_suite must be one of {VERIFY_SUITES}, got {self.verify_suite!r}")
-        for name in SPEC_FIELDS:
-            _check_spec(name, getattr(self, name))
-        if self.h <= 0:
-            raise ValidationError("h must be positive")
-        if self.h_values is not None and any(h <= 0 for h in self.h_values):
-            raise ValidationError("h_values must be positive")
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
-        if self.slack < 0:
-            raise ValidationError("slack must be nonnegative")
-        if self.mode == "converge" and self.converge_mode not in ("pipeline", "poincare", "dbar"):
-            raise ValidationError("converge_mode must be pipeline, poincare or dbar")
+    data.update(overrides)
+    _check_fields("config", data, {name: test for name, (_, test) in CONFIG_FIELDS.items()})
+    # each config gets its own copy of a default spec, which a caller may change
+    return argparse.Namespace(**{
+        name: data.get(name, dict(default) if isinstance(default, dict) else default)
+        for name, (default, _) in CONFIG_FIELDS.items()})
 
 
 def _build_domain(spec: dict) -> Domain:
-    """The domain of a spec that validate accepted."""
+    """The domain of a spec that _check_spec accepted."""
     center = spec.get("center")
     if spec.get("kind", DEFAULT_KIND["domain"]) == "ball":
         return Domain.ball(spec.get("radius", 1.0), center=center, dim=spec.get("dim"))
@@ -199,7 +184,7 @@ def _build_domain(spec: dict) -> Domain:
 
 
 def _build_weight(spec: dict, dim: int) -> Weight:
-    """The weight of a spec that validate accepted."""
+    """The weight of a spec that _check_spec accepted."""
     kind = spec.get("kind", DEFAULT_KIND["weight"])
     if kind == "abs2":
         return Weight.abs2(dim)
@@ -213,7 +198,7 @@ def _build_weight(spec: dict, dim: int) -> Weight:
 
 
 def _build_form(spec: dict, grid: Grid, mode: str):
-    """The form of a spec that validate accepted."""
+    """The form of a spec that _check_spec accepted."""
     if "table" in spec:
         kind = spec.get("degree", 2 if mode == "poincare" else
                         ((0, 1) if mode == "dbar" else (1, 1)))
@@ -224,7 +209,7 @@ def _build_form(spec: dict, grid: Grid, mode: str):
     return FORM_PRESETS[spec["preset"]](grid)
 
 
-def _single_run(cfg: RunConfig, h: float) -> dict:
+def _single_run(cfg: argparse.Namespace, h: float) -> dict:
     domain = _build_domain(cfg.domain)
     domain.validate_regularity()
     grid = build_grid(domain, h, margin=cfg.margin)
@@ -244,7 +229,7 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
                        f"{rep.residual:.3e} <= 1e-04"))
         row.update(c=rep.c, norm_f2=rep.norm_f2, norm_u2=rep.norm_u2,
                    ratio=rep.ratio, bound=rep.bound_main, residual=rep.residual)
-    elif mode in ("poincare", "dbar"):
+    else:
         solve = pipeline.solve_poincare if mode == "poincare" else pipeline.solve_dbar
         u, rep = solve(f, weight, grid, tol=cfg.tol, maxiter=cfg.maxiter)
         bound = rep.bound * (1.0 + cfg.slack)
@@ -255,14 +240,13 @@ def _single_run(cfg: RunConfig, h: float) -> dict:
         row.update(c=rep.c, norm_f2=rep.rhs_norm2,
                    norm_u2=rep.solution_norm2, ratio=rep.ratio,
                    bound=rep.bound, residual=rep.relative_residual)
-    else:
-        raise ValidationError(f"unsupported single-run mode {mode!r}")
 
     return {"row": row, "checks": checks, "detail": rep.to_dict(), "solution": u}
 
 
-def _verify_run(cfg: RunConfig) -> dict:
+def _verify_run(cfg: argparse.Namespace) -> dict:
     domain = _build_domain(cfg.domain)
+    weight = _build_weight(cfg.weight, domain.dim)
     rng = np.random.default_rng(cfg.seed)
     suite = cfg.verify_suite
     results = {}
@@ -279,7 +263,6 @@ def _verify_run(cfg: RunConfig) -> dict:
         checks.append(("dalpha_identity", worst <= 1e-10, f"{worst:.3e}"))
     if suite in ("all", "boundary", "bochner", "basic"):
         quad = boundary_quadrature(domain, 1024)
-        weight = _build_weight(cfg.weight, domain.dim)
         g = verify.Poly.variable(2, 1)  # x1 modulation
         alpha = verify.tangential_1form(domain, g)
         if suite in ("all", "boundary"):
@@ -315,9 +298,8 @@ def _write_table(path: Path, rows: list[dict]) -> None:
             writer.writerow({k: row.get(k, "") for k in CSV_COLUMNS})
 
 
-def run(cfg: RunConfig) -> tuple[dict, int]:
-    """Execute one configuration; returns (report dict, exit code)."""
-    cfg.validate()
+def run(cfg: argparse.Namespace) -> tuple[dict, int]:
+    """Execute one configuration of load_config; returns (report dict, exit code)."""
     t0 = time.perf_counter()
     out_dir = Path(cfg.out)
     try:
@@ -356,7 +338,7 @@ def run(cfg: RunConfig) -> tuple[dict, int]:
 
     wall = time.perf_counter() - t0
     report = {
-        "config": dataclasses.asdict(cfg),
+        "config": vars(cfg),
         "checks": [{"name": n, "passed": bool(ok), "detail": msg}
                    for n, ok, msg in checks],
         "detail": detail,
@@ -382,14 +364,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-        for name in ("mode", "h", "out", "seed"):
-            val = getattr(args, name)
-            if val is not None:
-                setattr(cfg, name, val)
+        flags = {name: getattr(args, name) for name in ("mode", "h", "out", "seed")}
+        cfg = load_config(args.config, {k: v for k, v in flags.items() if v is not None})
         report, code = run(cfg)
-    except (ValidationError, UnsupportedDomainError, ResolutionError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ValidationError, UnsupportedDomainError, ResolutionError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except PellelError as exc:

@@ -89,6 +89,13 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
     {"form": {"preset": "i_dz_dbar"}},
     {"mode": "verify", "form": {"preset": "nonsense"}},
     {"domain": {"kind": "ball", "radius": 1e-160}},
+    {"mode": "pipeline", "converge_mode": "nonsense"},
+    {"mode": "verify", "verify_suite": "dalpha", "converge_mode": 3},
+    {"mode": "verify", "verify_suite": "dalpha", "margin": -1},
+    {"mode": "verify", "verify_suite": "dalpha",
+     "weight": {"kind": "quadratic", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                                [0.0, 0.0, 1.0]]}},
+    '{"mode": "pipeline", "h": 0.0625',
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -102,9 +109,16 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "basic_weight_underflows", "h_nan", "h_values_nan", "slack_nan", "tol_nan",
         "h_tiny", "h_1e-12", "radius_huge", "radius_tiny", "radius_inf", "out_number",
         "pipeline_zero_weight", "preset_unknown", "preset_unknown_verify",
-        "radius_subnormal_square"])
+        "radius_subnormal_square", "converge_mode_unknown_pipeline",
+        "converge_mode_number_verify", "margin_negative_verify_dalpha",
+        "quadratic_wrong_dim_verify_dalpha", "config_truncated_json"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
-    cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
+    # a string is the text of the config file
+    if isinstance(bad, str):
+        (tmp_path / "cfg.json").write_text(bad)
+        cfg = str(tmp_path / "cfg.json")
+    else:
+        cfg = write_cfg(tmp_path, **{"mode": "pipeline", "out": str(tmp_path / "out"), **bad})
     code = cli.main(["run", "--config", cfg])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
@@ -124,11 +138,19 @@ def test_config_kinds_run(tmp_path, kw):
     assert cli.main(["run", "--config", cfg]) == 0
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_example_config_runs(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = README.read_text()
     example = readme.split("Example configuration:")[1].split("```json")[1].split("```")[0]
     cfg = write_cfg(tmp_path, **{**json.loads(example), "out": str(tmp_path / "out")})
     assert cli.main(["run", "--config", cfg]) == 0
+
+
+def test_readme_names_every_config_field():
+    section = README.read_text().split("\n## CLI\n")[1].split("\n## ")[0]
+    assert [name for name in cli.CONFIG_FIELDS if f"`{name}`" not in section] == []
 
 
 @pytest.mark.parametrize("suite", ["dalpha", "boundary"])
@@ -248,6 +270,23 @@ def test_dump_forms(tmp_path):
 
 def test_missing_config_file(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_configs_share_no_default_spec():
+    first = cli.load_config(None, {})
+    first.domain["radius"] = 2.0
+    assert cli.load_config(None, {}).domain["radius"] == 1.0
+
+
+def test_error_writing_the_results_propagates(tmp_path, monkeypatch):
+    # it is no configuration error: it once exited 2 as one
+    def lost(path, report):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "_write_report", lost)
+    cfg = write_cfg(tmp_path, mode="verify", verify_suite="dalpha", out=str(tmp_path / "out"))
+    with pytest.raises(FileNotFoundError):
+        cli.main(["run", "--config", cfg])
 
 
 @pytest.mark.parametrize("case", ["config_directory", "config_binary", "table_directory",
