@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import forms, pipeline, verify
-from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid
+from .domain import Domain, Grid, Weight, boundary_quadrature, build_grid, lattice_ranges
 # not called here (the reports carry c), but kept as this module's name: the
 # benchmark tracer in perfbench/tracing.py wraps pellel.cli.estimate_c
 from .domain import estimate_c  # noqa: F401
@@ -157,7 +157,9 @@ def _check_spec(name: str, spec) -> bool:
 def load_config(path: str | None, overrides: dict) -> argparse.Namespace:
     """The config of the JSON file at path (of no file if path is None or
     empty) with overrides on top, every field checked and every field left
-    out at its default."""
+    out at its default.  The domain spec must make a domain, and h and each
+    of h_values a grid that fits in an array on it (domain.lattice_ranges),
+    in every mode."""
     data = {}
     if path:
         try:
@@ -170,9 +172,14 @@ def load_config(path: str | None, overrides: dict) -> argparse.Namespace:
     data.update(overrides)
     _check_fields("config", data, {name: test for name, (_, test) in CONFIG_FIELDS.items()})
     # each config gets its own copy of a default spec, which a caller may change
-    return argparse.Namespace(**{
+    cfg = argparse.Namespace(**{
         name: data.get(name, dict(default) if isinstance(default, dict) else default)
         for name, (default, _) in CONFIG_FIELDS.items()})
+    # every spacing must size a grid on the domain, also in a mode that builds none
+    domain = _build_domain(cfg.domain)
+    for h in [cfg.h] + (cfg.h_values or []):
+        lattice_ranges(domain, h)
+    return cfg
 
 
 def _build_domain(spec: dict) -> Domain:

@@ -192,8 +192,9 @@ class Grid:
 
     build_grid makes the three masks read-only.  Inside a sharing() block,
     which every solver opens, the node indices of each, the stencil tables
-    between them and phi and exp(-phi) on each per weight are built once;
-    the grid keeps none of them between blocks.
+    between them, phi, exp(-phi) and the shifted exp(-phi) on each per
+    weight, and the solvers' multigrid hierarchies are built once; the grid
+    keeps none of them between blocks.
     """
 
     domain: Domain
@@ -227,8 +228,9 @@ class Grid:
     @contextmanager
     def sharing(self):
         """Inside this block, everything the grid derives from its own masks
-        (node indices, stencil tables, phi and exp(-phi) per weight) is built
-        once; outside it, and for any other mask, it is built on every call.
+        (node indices, stencil tables, phi and exp(-phi) per weight, and what
+        the solvers key on them) is built once; outside it, and for any
+        other mask, it is built on every call.
         Nested blocks share the outermost, which drops it all on exit, so a
         grid holds nothing between solves."""
         if "_shared" in self.__dict__:
@@ -277,6 +279,20 @@ class Grid:
         return self._derived(("exp", id(weight), self._own(mask)),
                              lambda w, m: np.exp(-self.phi_values(w, m)), weight, mask)
 
+    def shifted_weight_values(self, weight: Weight, mask: np.ndarray,
+                              shift_mask: np.ndarray) -> np.ndarray:
+        """exp(-(phi - shift)) at the mask's nodes, in compact order, where
+        shift is the minimum of phi over shift_mask (0 if it is empty): the
+        weight scaled to at most 1 on shift_mask, so that it stays tame for
+        large phi."""
+        def build(w, m, s):
+            phi_s = self.phi_values(w, s)
+            shift = float(phi_s.min()) if phi_s.size else 0.0
+            return np.exp(-(self.phi_values(w, m) - shift))
+
+        return self._derived(("shifted", id(weight), self._own(mask), self._own(shift_mask)),
+                             build, weight, mask, shift_mask)
+
     def compact(self, a: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """a (shape (k, *grid.shape)) on the mask's nodes: a C-contiguous
         (k, #mask nodes) array, nodes in C order."""
@@ -314,18 +330,11 @@ class Grid:
 RHO_SLABS = 8
 
 
-def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> Grid:
-    """Build the cell-centered grid for a domain at spacing h.
-
-    Nodes sit on the global lattice (k + 1/2) * h so layouts at different
-    h nest consistently.  Raises ResolutionError when no node is interior.
-    """
-    if h <= 0:
-        raise ValidationError("grid spacing must be positive")
-    if margin < 0:
-        raise ValidationError("margin must be nonnegative")
+def lattice_ranges(domain: Domain, h: float, pad: int = 2) -> list[tuple[int, int]]:
+    """The first and last lattice index k of each axis of the grid at
+    spacing h, in Python ints, so that a grid is sized before any array.
+    Raises ResolutionError when its coordinates would not fit in an array."""
     lo, hi = domain.bounding_box()
-    # the lattice range of each axis in Python ints, sized before any array
     too_large = ResolutionError(f"the grid at h={h} has more nodes than an array can hold")
     try:
         ranges = [(math.floor(a / h - 0.5) - pad, math.ceil(b / h - 0.5) + pad)
@@ -334,6 +343,21 @@ def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> G
         raise too_large from None
     if 8 * domain.dim * math.prod(k1 - k0 + 1 for k0, k1 in ranges) > np.iinfo(np.intp).max:
         raise too_large
+    return ranges
+
+
+def build_grid(domain: Domain, h: float, margin: float = 0.0, pad: int = 2) -> Grid:
+    """Build the cell-centered grid for a domain at spacing h.
+
+    Nodes sit on the global lattice (k + 1/2) * h so layouts at different
+    h nest consistently.  Raises ResolutionError when no node is interior
+    or, before any array is made, when the grid is too large for one.
+    """
+    if h <= 0:
+        raise ValidationError("grid spacing must be positive")
+    if margin < 0:
+        raise ValidationError("margin must be nonnegative")
+    ranges = lattice_ranges(domain, h, pad)
     axes = [(np.arange(k0, k1 + 1) + 0.5) * h for k0, k1 in ranges]
     shape = tuple(len(a) for a in axes)
     coords = np.empty((domain.dim,) + shape)

@@ -144,23 +144,25 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
     adjoint is the exact transpose against the exp(-phi) h^N inner
     products on the two masks.  The weight is shift-normalized by its
     minimum over the unknowns so the exponentials stay tame for large phi.
-    phi and the stencil tables come from the grid, so inside a
-    grid.sharing() block the maps on the grid's own masks share them and
-    a map pays only for its shifted exp(-phi); apply and adjoint run them
-    through calculus.apply_plan, and share one work buffer and one gather
-    vector, so a map serves one thread at a time.
+    The shifted weights and the stencil tables come from the grid, so
+    inside a grid.sharing() block the maps on the grid's own masks share
+    them; apply and adjoint run them through calculus.apply_plan, and share
+    one work buffer and one gather vector, so a map serves one thread at a
+    time.
 
     With one equation component (n_out == 1) the map carries a
     preconditioner: one multigrid V-cycle for the axis-diagonal part of
-    A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  Its hierarchy is
-    built on the first call, so maps that are never solved do not pay
-    for it; a complex map runs the real and imaginary parts of a residual
-    through it in turn.
+    A W_s^{-1} A^H (pellel.multigrid), then W_t^{-1}.  The cycle is built
+    for the axis scales c_a / max c_a, and its output divided by max c_a,
+    so inside a sharing block the maps of one weight on the grid's own
+    masks whose c_a differ by a factor share one hierarchy: in 2-D the
+    top-degree d and dbar.  A map takes its hierarchy on its first call,
+    so maps that are never solved do not pay for it, and keeps it, so
+    outside a block it is built once per map; a complex map runs the real
+    and imaginary parts of a residual through it in turn.
     """
-    phi_s = grid.phi_values(weight, dof_mask)
-    shift = float(phi_s.min()) if phi_s.size else 0.0
-    w_s = np.exp(-(phi_s - shift))
-    w_t = np.exp(-(grid.phi_values(weight, eq_mask) - shift))
+    w_s = grid.shifted_weight_values(weight, dof_mask, dof_mask)
+    w_t = grid.shifted_weight_values(weight, eq_mask, dof_mask)
     vol = grid.cell_volume
     src_shape = (n_in, w_s.size)
     tgt_shape = (n_out, w_t.size)
@@ -204,13 +206,19 @@ def weighted_first_order_map(grid: Grid, weight: Weight, terms,
         axis_scale = np.zeros(grid.dim)
         for _, _, s, ax in terms:
             axis_scale[ax] += abs(s) ** 2
+        top = float(axis_scale.max())
+        unit_scale = tuple((axis_scale / top).tolist())
         multigrid = None
 
         def preconditioner(r):
             nonlocal multigrid
             if multigrid is None:
-                multigrid = ParityMultigrid(eq_mask, dof_mask, w_s, grid.h, axis_scale)
+                # w_s stands for the weight in the key, and stays alive with it
+                multigrid = grid._derived(
+                    ("multigrid", id(w_s), grid._own(eq_mask), grid._own(dof_mask), unit_scale),
+                    ParityMultigrid, eq_mask, dof_mask, w_s, grid.h, unit_scale)
             out = multigrid(r[0])
+            out *= 1.0 / top  # a complex product with a real scalar is cheaper than a quotient
             out /= w_t
             return out[None]
 

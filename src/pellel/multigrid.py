@@ -23,12 +23,22 @@ no code branches on N.  A coarse node aggregates 2^N children: P copies
 its value to them, R = P^T / 2^N averages, and the coarse operator is
 COARSE_SCALE times the Galerkin product R S P.  Constant interpolation
 doubles the energy of a smooth error, so the Galerkin product is about
-twice the rediscretized Laplacian at twice the spacing.  The V(1,1)
-cycle smooths by red-black Gauss-Seidel, red then black before the
-coarse correction and black then red after it, and solves the coarsest
-level exactly.  As an operator it is therefore symmetric and positive
-definite, whatever the coarse scale: a valid preconditioner for
-conjugate gradients.
+twice the rediscretized Laplacian at twice the spacing.  The V-cycle
+smooths by red-black Gauss-Seidel.  The finest level runs one sweep on
+each side of the coarse correction, red then black before it and black
+then red after it.  Every coarser level runs COARSE_SWEEPS sweeps on each
+side, R B R B before and B R B R after: there the Galerkin operator is
+the weak part of the cycle, and a level has 1 / 2^N of the nodes of the
+one above it.  The coarsest level is solved exactly.  Each level's
+smoothing is a palindrome around its correction, so the cycle is
+symmetric and positive definite as an operator, whatever the coarse
+scale: a valid preconditioner for conjugate gradients.
+
+S depends on the masks, w_s, h and the axis scales c_a only, and scaling
+c_a by t scales S by t and the cycle by 1 / t, exactly when t is a power
+of two.  The 2-D maps of a pipeline call (the top-degree d, c_a = 1, and
+dbar in C^1, c_a = 1/4) therefore share one hierarchy built for c_a / max
+c_a (pellel.minnorm).
 
 A complex residual is two real ones, its real and imaginary parts, and
 they run through the one real hierarchy in turn, a cycle each.
@@ -43,6 +53,7 @@ import numpy as np
 
 COARSEST_NODES = 64  # a level with at most this many nodes per class is solved exactly
 COARSE_SCALE = 0.5  # coarse operator = COARSE_SCALE * R S P
+COARSE_SWEEPS = 2  # red-black sweeps on each side of the correction below the finest level
 FINEST_SLABS = 8  # the finest level is written in up to this many slabs along the first axis
 SLAB_NODES = 8192  # and each slab spans at least this many box nodes
 
@@ -252,7 +263,7 @@ def _set_finest(top: _Level, eq_mask, dof_mask, w_s, h, axis_scale):
 
 
 class ParityMultigrid:
-    """One V(1,1) cycle for S (see the module docstring) on compact vectors
+    """One V-cycle for S (see the module docstring) on compact vectors
     over the equation mask.
 
     eq_mask and dof_mask are box masks with dof_mask containing the
@@ -306,8 +317,12 @@ class ParityMultigrid:
         views = lev.views
         red, black = views.colours
         x_red, b_red, d_red, _ = red
+        sweeps = 1 if depth == 0 else COARSE_SWEEPS
         np.divide(b_red, d_red, out=x_red)  # red half-sweep from x = 0
         self._half_sweep(views, black)
+        for _ in range(sweeps - 1):
+            self._half_sweep(views, red)
+            self._half_sweep(views, black)
         # the residual, in t; it vanishes on black nodes after a black half-sweep
         self._accumulate(views, red, views.t)
         np.multiply(d_red, x_red, out=views.w)
@@ -324,8 +339,9 @@ class ParityMultigrid:
         np.take(low.x_buf, views.coarse_index, out=coarse, mode="clip")
         for child in views.x_children:
             child += coarse
-        self._half_sweep(views, black)
-        self._half_sweep(views, red)
+        for _ in range(sweeps):
+            self._half_sweep(views, black)
+            self._half_sweep(views, red)
 
     @staticmethod
     def _accumulate(views, colour, out) -> None:

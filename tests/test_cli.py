@@ -96,6 +96,7 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
      "weight": {"kind": "quadratic", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                                 [0.0, 0.0, 1.0]]}},
     '{"mode": "pipeline", "h": 0.0625',
+    {"mode": "verify", "verify_suite": "dalpha", "h": 1e-300},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -111,7 +112,8 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "pipeline_zero_weight", "preset_unknown", "preset_unknown_verify",
         "radius_subnormal_square", "converge_mode_unknown_pipeline",
         "converge_mode_number_verify", "margin_negative_verify_dalpha",
-        "quadratic_wrong_dim_verify_dalpha", "config_truncated_json"])
+        "quadratic_wrong_dim_verify_dalpha", "config_truncated_json",
+        "h_tiny_verify_dalpha"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     # a string is the text of the config file
     if isinstance(bad, str):

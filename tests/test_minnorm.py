@@ -372,6 +372,47 @@ def test_multigrid_built_on_first_solve(monkeypatch, disk_grid_coarse, gauss2):
     assert len(built) == 1
 
 
+@pytest.fixture()
+def built_multigrids(monkeypatch):
+    """The arguments of each ParityMultigrid that the maps build."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ParityMultigrid(*args)
+
+    monkeypatch.setattr(minnorm, "ParityMultigrid", counting)
+    return built
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "nonreal"])
+def test_2d_pipeline_builds_one_multigrid(built_multigrids, disk_grid_coarse, gauss2, real):
+    # both stages, and both parts of a non-real f, share one hierarchy
+    f = pl.standard_11_form(disk_grid_coarse)
+    if not real:
+        f.coeffs[0] *= 1.0 + 0.5j
+    _, rep = pl.solve_poincare_lelong(f, gauss2, disk_grid_coarse)
+    assert (rep.parts is None) == real
+    assert len(built_multigrids) == 1
+
+
+def test_2d_stage_maps_share_the_hierarchy(built_multigrids, disk_grid, gauss2, rng):
+    # the top-degree d has axis scales 1 and dbar in C^1 1/4, so in one block
+    # dbar's preconditioner is 4 times d's, a scaling by a power of two that
+    # rounds nothing
+    grid = disk_grid
+    with grid.sharing():
+        d = weighted_first_order_map(grid, gauss2, calc.d_terms(2, 1), 2, 1,
+                                     grid.mask_eq, grid.mask_dof)
+        dbar = weighted_first_order_map(grid, gauss2, calc.complex_terms(1, (0, 0), True), 1, 1,
+                                        grid.mask_eq, grid.mask_dof, dtype=complex)
+        r = rng.standard_normal(d.target_shape)
+        z = d.preconditioner(r)
+        assert np.array_equal(dbar.preconditioner(r), 4.0 * z)
+        assert np.array_equal(d.preconditioner(r), z)
+    assert len(built_multigrids) == 1
+
+
 def _dot_cases():
     """(grid, weight, terms, n_in, n_out, dtype): d on functions and dbar
     on the disk, d on 1-forms and dbar in C^2 on the ball."""

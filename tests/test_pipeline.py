@@ -424,14 +424,18 @@ def test_c2_stages_run_cgls():
         assert stage.matvecs == 1 + 2 * stage.iterations + stage.iterations // RECOMPUTE_EVERY
 
 
-@pytest.mark.parametrize("h", [1 / 32, 1 / 64])
+# Craig iterations of the Poincare and dbar stages on i dz ^ dzbar; CGLS takes
+# 94/110 at h = 1/32 and 172/211 at h = 1/64
+CRAIG_ITERATIONS = {1 / 32: (15, 16), 1 / 64: (17, 18), 1 / 128: (19, 20)}
+
+
+@pytest.mark.parametrize("h", list(CRAIG_ITERATIONS))
 def test_2d_stage_iterations_flat_in_h(h):
-    # CGLS takes 94/110 iterations at h = 1/32 and 172/211 at h = 1/64
     grid = pl.build_grid(pl.Domain.ball(1.0), h)
     _, rep = pl.solve_poincare_lelong(pl.standard_11_form(grid), pl.Weight.abs2(2), grid)
-    for stage in (rep.stage_poincare, rep.stage_dbar):
+    for stage, limit in zip((rep.stage_poincare, rep.stage_dbar), CRAIG_ITERATIONS[h]):
         assert stage.converged
-        assert stage.iterations <= 40
+        assert stage.iterations <= limit
 
 
 def _solve_ratio(solve, make):
