@@ -157,9 +157,9 @@ def _check_spec(name: str, spec) -> bool:
 def load_config(path: str | None, overrides: dict) -> argparse.Namespace:
     """The config of the JSON file at path (of no file if path is None or
     empty) with overrides on top, every field checked and every field left
-    out at its default.  The domain spec must make a domain, and h and each
-    of h_values a grid that fits in an array on it (domain.lattice_ranges),
-    in every mode."""
+    out at its default.  The domain spec must make a domain, h and each of
+    h_values a grid that fits in an array on it (domain.lattice_ranges), and
+    a form table must have a readable header line, in every mode."""
     data = {}
     if path:
         try:
@@ -175,10 +175,12 @@ def load_config(path: str | None, overrides: dict) -> argparse.Namespace:
     cfg = argparse.Namespace(**{
         name: data.get(name, dict(default) if isinstance(default, dict) else default)
         for name, (default, _) in CONFIG_FIELDS.items()})
-    # every spacing must size a grid on the domain, also in a mode that builds none
+    # in every mode: each spacing must size a grid, and a form table must be readable
     domain = _build_domain(cfg.domain)
     for h in [cfg.h] + (cfg.h_values or []):
         lattice_ranges(domain, h)
+    if "table" in cfg.form:
+        forms._table_header(cfg.form["table"])
     return cfg
 
 
@@ -209,10 +211,7 @@ def _build_form(spec: dict, grid: Grid, mode: str):
     if "table" in spec:
         kind = spec.get("degree", 2 if mode == "poincare" else
                         ((0, 1) if mode == "dbar" else (1, 1)))
-        try:
-            return forms.from_csv(grid, kind, spec["table"])
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{spec['table']}: unreadable form table ({exc})") from None
+        return forms.from_csv(grid, kind, spec["table"])
     return FORM_PRESETS[spec["preset"]](grid)
 
 
@@ -323,13 +322,13 @@ def run(cfg: argparse.Namespace) -> tuple[dict, int]:
         detail = res["results"]
     elif cfg.mode == "converge":
         h_values = cfg.h_values or [cfg.h, cfg.h / 2, cfg.h / 4]
-        prev_residual = None
+        prev_h = prev_residual = None
         for h in h_values:
             single = _single_run(cfg, h)
             row = single["row"]
-            if prev_residual and row["residual"] > 0:
-                row["order"] = math.log2(prev_residual / row["residual"])
-            prev_residual = row["residual"]
+            if prev_residual and row["residual"] > 0 and h != prev_h:
+                row["order"] = math.log(prev_residual / row["residual"]) / math.log(prev_h / h)
+            prev_h, prev_residual = h, row["residual"]
             rows.append(row)
             checks.extend((f"{name}@h={h}", ok, msg) for name, ok, msg in single["checks"])
         detail["rows"] = rows

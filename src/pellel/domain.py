@@ -38,24 +38,24 @@ def _semi_axes(values) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class Domain:
-    """Bounded strictly convex domain G = {rho < 0}."""
+    """Bounded strictly convex domain G = {rho < 0}, with boundary x = c + a*theta, |theta| = 1."""
 
-    kind: str
-    dim: int
     semi_axes: tuple[float, ...]
     center: tuple[float, ...]
 
+    @property
+    def dim(self) -> int:
+        return len(self.center)
+
     @staticmethod
     def ball(radius: float, center=None, dim: int | None = None) -> "Domain":
-        """Ball of the given radius; dim defaults to len(center), or to 2
-        without a center, and must match the center when both are given."""
-        (a,) = _semi_axes((radius,))
+        """The ellipsoid with semi-axes all radius; dim defaults to len(center),
+        or to 2 without a center, and must match the center when both are given."""
         if center is None:
             center = (0.0,) * (2 if dim is None else dim)
-        center = tuple(float(c) for c in center)
         if dim is not None and len(center) != dim:
             raise ValidationError(f"ball center {center} does not have dim = {dim} coordinates")
-        return Domain("ball", len(center), (a,) * len(center), center)
+        return Domain.ellipsoid((radius,) * len(center), center)
 
     @staticmethod
     def ellipsoid(semi_axes, center=None) -> "Domain":
@@ -65,22 +65,23 @@ class Domain:
         center = tuple(float(c) for c in center)
         if len(center) != len(semi_axes):
             raise ValidationError("center and semi-axes dimension mismatch")
-        return Domain("ellipsoid", len(semi_axes), semi_axes, center)
+        return Domain(semi_axes, center)
 
     def _shifted(self, points):
-        c = np.asarray(self.center, dtype=float).reshape((self.dim,) + (1,) * (np.ndim(points) - 1))
-        return np.asarray(points, dtype=float) - c
+        """x - c and a**2, shaped to broadcast against the points."""
+        shape = (self.dim,) + (1,) * (np.ndim(points) - 1)
+        c = np.asarray(self.center, dtype=float).reshape(shape)
+        a2 = np.asarray(self.semi_axes, dtype=float).reshape(shape) ** 2
+        return np.asarray(points, dtype=float) - c, a2
 
     def rho(self, points):
-        y = self._shifted(points)
-        a2 = np.asarray(self.semi_axes, dtype=float).reshape(y.shape[0:1] + (1,) * (y.ndim - 1)) ** 2
+        y, a2 = self._shifted(points)
         # y**2 / a**2 overflows only far outside G, so rho = +inf keeps such a node out
         with np.errstate(over="ignore"):
             return np.sum(y * y / a2, axis=0) - 1.0
 
     def grad_rho(self, points):
-        y = self._shifted(points)
-        a2 = np.asarray(self.semi_axes, dtype=float).reshape(y.shape[0:1] + (1,) * (y.ndim - 1)) ** 2
+        y, a2 = self._shifted(points)
         return 2.0 * y / a2
 
     def hess_rho(self, points):
@@ -89,6 +90,10 @@ class Domain:
         for j, a in enumerate(self.semi_axes):
             h[j, j] = 2.0 / a**2
         return h
+
+    def _boundary_point(self, theta: np.ndarray) -> np.ndarray:
+        """x = c + a*theta for unit directions theta of shape (N, k)."""
+        return np.asarray(self.center)[:, None] + np.asarray(self.semi_axes)[:, None] * theta
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         c = np.asarray(self.center)
@@ -101,8 +106,7 @@ class Domain:
         small collar."""
         rng = np.random.default_rng(0)
         u = rng.normal(size=(self.dim, 128))
-        u /= np.linalg.norm(u, axis=0)
-        pts = np.asarray(self.center)[:, None] + np.asarray(self.semi_axes)[:, None] * u
+        pts = self._boundary_point(u / np.linalg.norm(u, axis=0))
         eig = np.linalg.eigvalsh(np.moveaxis(self.hess_rho(pts), -1, 0))
         if eig.min() <= 0:
             raise ValidationError("defining function is not strictly convex on the boundary")
@@ -414,41 +418,29 @@ class BoundaryQuadrature:
         return self.weights * self.grad_norm
 
 
-def boundary_quadrature(domain: Domain, m: int) -> BoundaryQuadrature:
-    """Parametrized boundary quadrature for balls/ellipsoids in N = 2, 3.
+def _sphere_rule(dim: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions theta, shape (N, k), and round-measure weights w: for
+    N = 2 the periodic trapezoid rule (spectrally accurate for smooth
+    integrands), for N = 3 Gauss-Legendre in u = cos(polar angle) times a
+    periodic trapezoid in azimuth (du dphi is the round measure)."""
+    if dim == 2:
+        t = 2.0 * np.pi * np.arange(m) / m
+        return np.stack([np.cos(t), np.sin(t)]), np.full(m, 2.0 * np.pi / m)
+    if dim == 3:
+        n = max(2, int(np.sqrt(m / 2.0)))  # n nodes in u, 2n in azimuth
+        u, gl_w = np.polynomial.legendre.leggauss(n)
+        u, phi = np.meshgrid(u, np.pi * np.arange(2 * n) / n, indexing="ij")
+        s = np.sqrt(1.0 - u * u)
+        theta = np.stack([s * np.cos(phi), s * np.sin(phi), u]).reshape(3, -1)
+        return theta, np.repeat(gl_w * (np.pi / n), 2 * n)
+    raise UnsupportedDomainError(f"boundary quadrature supports N = 2 or 3, got N = {dim}")
 
-    N = 2 uses the periodic trapezoid rule in the angle (spectrally
-    accurate for smooth integrands); N = 3 uses Gauss-Legendre in the
-    polar angle times a periodic trapezoid in azimuth.
-    """
-    if domain.kind not in ("ball", "ellipsoid"):
-        raise UnsupportedDomainError(f"no boundary parametrization for {domain.kind}")
-    a = np.asarray(domain.semi_axes)
-    c = np.asarray(domain.center)
-    if domain.dim == 2:
-        theta = 2.0 * np.pi * np.arange(m) / m
-        nodes = c[:, None] + np.stack([a[0] * np.cos(theta), a[1] * np.sin(theta)])
-        speed = np.hypot(-a[0] * np.sin(theta), a[1] * np.cos(theta))
-        ds = speed * (2.0 * np.pi / m)
-    elif domain.dim == 3:
-        m_theta = max(2, int(np.sqrt(m / 2.0)))
-        m_phi = 2 * m_theta
-        u, gl_w = np.polynomial.legendre.leggauss(m_theta)
-        theta = np.arccos(u)
-        phi = 2.0 * np.pi * np.arange(m_phi) / m_phi
-        th, ph = np.meshgrid(theta, phi, indexing="ij")
-        st, ct = np.sin(th), np.cos(th)
-        nodes = c[:, None] + np.stack([
-            a[0] * st * np.cos(ph), a[1] * st * np.sin(ph), a[2] * ct]).reshape(3, -1)
-        # |x_theta x x_phi| for the ellipsoid parametrization
-        jac = st * np.sqrt((a[1] * a[2] * st * np.cos(ph)) ** 2
-                           + (a[0] * a[2] * st * np.sin(ph)) ** 2
-                           + (a[0] * a[1] * ct) ** 2)
-        # leggauss weights absorb sin(theta) via u = cos(theta)
-        w = (gl_w[:, None] / np.where(st > 0, st, 1.0)) * (2.0 * np.pi / m_phi)
-        ds = (jac * w).reshape(-1)
-    else:
-        raise UnsupportedDomainError(
-            f"boundary quadrature supports N = 2 or 3, got N = {domain.dim}")
+
+def boundary_quadrature(domain: Domain, m: int) -> BoundaryQuadrature:
+    """Boundary quadrature in N = 2 or 3: the sphere rule mapped by
+    x = c + a*theta, on which dS / |grad rho| is prod(a)/2 times the round
+    measure, so the weights are prod(a)/2 times the sphere rule's."""
+    theta, w = _sphere_rule(domain.dim, m)
+    nodes = domain._boundary_point(theta)
     grad_norm = np.linalg.norm(domain.grad_rho(nodes), axis=0)
-    return BoundaryQuadrature(nodes, ds / grad_norm, grad_norm)
+    return BoundaryQuadrature(nodes, math.prod(domain.semi_axes) / 2.0 * w, grad_norm)

@@ -301,15 +301,22 @@ def to_csv(form, path) -> None:
                 fh.write("".join(lines))
 
 
+def _table_header(path) -> list[str]:
+    """The header line of a form table; ValidationError if there is none to read."""
+    try:
+        with open(path, newline="") as fh:
+            return next(csv.reader(fh))
+    except StopIteration:
+        raise ValidationError(f"{path}: form table without a header line") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: unreadable form table ({exc})") from None
+
+
 def from_csv(grid: Grid, degree_or_bidegree, path):
     """Rebuild a form written by to_csv on this grid.  Raises
     ValidationError unless the node and coeff columns are exactly the
     layout to_csv writes for this grid and form type."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise ValidationError(f"{path}: form table without a header line")
-    complex_form = "value_im" in header
+    complex_form = "value_im" in _table_header(path)
     if complex_form != isinstance(degree_or_bidegree, (tuple, list)):
         raise ValidationError(
             f"{path}: a {'complex' if complex_form else 'real'} form table needs a "

@@ -244,7 +244,7 @@ def tangential_1form(domain: Domain, g: Poly | float = 1.0) -> PolyForm:
     """Polynomial 1-form tangent to the boundary of a 2-D ball/ellipsoid:
     g * (-(x2-c2) a1^2 dx1 + (x1-c1) a2^2 dx2) pairs to zero with grad rho
     identically, hence lies in the domain of the weighted adjoint."""
-    if domain.dim != 2 or domain.kind not in ("ball", "ellipsoid"):
+    if domain.dim != 2:
         raise ValidationError("tangential generators implemented for 2-D balls/ellipsoids")
     if not isinstance(g, Poly):
         g = Poly.constant(2, float(g))

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,7 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
                                                 [0.0, 0.0, 1.0]]}},
     '{"mode": "pipeline", "h": 0.0625',
     {"mode": "verify", "verify_suite": "dalpha", "h": 1e-300},
+    {"mode": "verify", "verify_suite": "dalpha", "form": {"table": "missing.csv"}},
 ], ids=["h_zero", "h_string", "h_bool", "margin_string", "tol_null", "slack_list",
         "h_values_string_entry", "h_values_not_list", "h_values_bool_entry",
         "maxiter_float", "maxiter_bool", "maxiter_zero", "maxiter_negative",
@@ -113,7 +115,7 @@ FAR_DISK = {"kind": "ball", "radius": 1.0, "center": [30.0, 0.0]}
         "radius_subnormal_square", "converge_mode_unknown_pipeline",
         "converge_mode_number_verify", "margin_negative_verify_dalpha",
         "quadratic_wrong_dim_verify_dalpha", "config_truncated_json",
-        "h_tiny_verify_dalpha"])
+        "h_tiny_verify_dalpha", "form_table_missing_verify_dalpha"])
 def test_invalid_config_exits_nonzero(tmp_path, capsys, bad):
     # a string is the text of the config file
     if isinstance(bad, str):
@@ -172,6 +174,22 @@ def test_centred_disk_verify_report(tmp_path):
         {"lhs": 4.170466396841386, "rhs": 4.166508727323446,
          "deviation": 0.003957669517939522}, rel=1e-12)
     assert detail["basic_estimate"]["margin"] == pytest.approx(3.6619648574136923, rel=1e-12)
+
+
+def test_ellipse_verify_report(tmp_path):
+    # an off-centre ellipse and a non-diagonal weight, so that the boundary
+    # rule's map and weights enter every sum
+    cfg = write_cfg(tmp_path, mode="verify", verify_suite="all", h=1 / 64,
+                    domain={"kind": "ellipsoid", "semi_axes": [1.0, 0.6], "center": [0.1, -0.2]},
+                    weight={"kind": "quadratic", "matrix": [[1.0, 0.3], [0.3, 2.0]]},
+                    out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == 0
+    detail = json.loads((tmp_path / "out" / "report.json").read_text())["detail"]
+    assert detail["bochner"] == pytest.approx(
+        {"lhs": 0.8257054842434912, "rhs": 0.825713212028954,
+         "deviation": 7.727785462763315e-06}, rel=1e-12)
+    assert detail["basic_estimate"] == pytest.approx(
+        {"margin": 0.7714886294043949, "reference": 0.054216854839096315}, rel=1e-12)
 
 
 def test_negative_seed_flag_exits_2(tmp_path, capsys):
@@ -245,6 +263,21 @@ def test_converge_mode_csv(tmp_path):
     assert rows[0]["order"] == ""
     assert rows[1]["order"] != ""
     assert [r["h"] for r in rows] == [str(1 / 8), str(1 / 16)]
+
+
+@pytest.mark.parametrize("h_values", [[1 / 8, 1 / 12], [1 / 8, 1 / 8]], ids=["ratio_1.5", "repeat"])
+def test_converge_order_follows_the_spacings(tmp_path, h_values):
+    cfg = write_cfg(tmp_path, mode="converge", h_values=h_values, out=str(tmp_path / "out"))
+    assert cli.main(["run", "--config", cfg]) == 0
+    with open(tmp_path / "out" / "table.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    r0, r1 = (float(r["residual"]) for r in rows)
+    assert rows[0]["order"] == ""
+    if h_values[0] == h_values[1]:
+        assert rows[1]["order"] == ""
+    else:
+        assert float(rows[1]["order"]) == pytest.approx(math.log(r0 / r1) / math.log(1.5),
+                                                        rel=1e-12)
 
 
 def test_deterministic_report(tmp_path):

@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipeinc, ellipkinc
 
 import pellel as pl
 from pellel import calculus as calc
@@ -176,6 +178,15 @@ def test_ball_dim_follows_center():
         pl.Domain.ball(1.0, center=(0.0, 0.0), dim=4)
 
 
+def test_ball_is_the_ellipsoid_with_equal_axes():
+    ball = pl.Domain.ball(0.75, center=(0.1, 0.0, -0.2))
+    assert ball == pl.Domain.ellipsoid((0.75,) * 3, center=(0.1, 0.0, -0.2))
+    assert [f.name for f in dataclasses.fields(pl.Domain)] == ["semi_axes", "center"]
+    a = pl.build_grid(pl.Domain.ball(1.0, dim=2), 1 / 16)
+    b = pl.build_grid(pl.Domain.ellipsoid((1.0, 1.0)), 1 / 16)
+    assert np.array_equal(a.coords, b.coords) and np.array_equal(a.interior, b.interior)
+
+
 @pytest.mark.parametrize("dim,h", [(2, 1 / 16), (4, 1 / 4)])
 def test_quadratic_phi_matches_einsum(dim, h, rng):
     a = rng.standard_normal((dim, dim))
@@ -209,6 +220,8 @@ def test_boundary_quadrature_ellipse_perimeter_oracle():
                        0.0, 2 * np.pi, epsabs=1e-12, limit=200)
     assert err < 1e-9
     assert abs(q.ds.sum() - oracle) < 1e-6
+    # coarea: the dS/|grad rho| total is (N/2) |B^N| prod(a)
+    assert q.weights.sum() == pytest.approx(np.pi * a * b, rel=1e-14)
 
 
 def test_boundary_quadrature_disk_second_moment():
@@ -220,6 +233,23 @@ def test_boundary_quadrature_disk_second_moment():
 def test_boundary_quadrature_sphere_area():
     q = pl.boundary_quadrature(pl.Domain.ball(2.0, dim=3), 5000)
     assert abs(q.ds.sum() - 4 * np.pi * 4.0) < 1e-6
+
+
+def test_boundary_quadrature_triaxial_ellipsoid():
+    a = (0.5, 1.0, 0.7)
+    dom = pl.Domain.ellipsoid(a, center=(0.3, -0.2, 0.1))
+    q = pl.boundary_quadrature(dom, 2000)
+    assert np.abs(dom.rho(q.nodes)).max() <= 1e-14
+    # coarea: the dS/|grad rho| total is (N/2) |B^N| prod(a)
+    assert q.weights.sum() == pytest.approx(2 * np.pi * np.prod(a), rel=1e-14)
+    # Legendre's area, with semi-axes a1 >= a2 >= a3
+    a1, a2, a3 = sorted(a, reverse=True)
+    phi = np.arccos(a3 / a1)
+    m = a1**2 * (a2**2 - a3**2) / (a2**2 * (a1**2 - a3**2))
+    area = 2 * np.pi * a3**2 + 2 * np.pi * a1 * a2 / np.sin(phi) * (
+        ellipeinc(phi, m) * np.sin(phi) ** 2 + ellipkinc(phi, m) * np.cos(phi) ** 2)
+    assert area == pytest.approx(6.641378673215237, rel=1e-15)
+    assert q.ds.sum() == pytest.approx(area, rel=1e-12)
 
 
 def test_boundary_quadrature_unsupported_dimension():
